@@ -1,8 +1,8 @@
 //! The tracked generation benchmark: fixed 20K-UE × 12 h workload,
 //! recorded to `BENCH_gen.json`.
 //!
-//! Not criterion-gated — a plain binary so CI (or a curious human) can
-//! run it and diff the JSON against the previous PR's numbers:
+//! A plain binary so CI (or a curious human) can run it and diff the JSON
+//! against the previous PR's numbers:
 //!
 //! ```text
 //! cargo run --release -p bench --bin gen_bench \
@@ -20,7 +20,7 @@
 //! * every configuration runs `REPS` (= 5) repetitions; the recorded
 //!   wall time is the **median**, with the min alongside as the noise
 //!   floor;
-//! * the single-threaded sequential stream is the baseline, then the
+//! * a single-threaded bare `UePool` drain is the baseline, then the
 //!   sharded stream is measured at shards ∈ {1, N_cores} — both points
 //!   are always recorded with per-point `speedup_vs_baseline`. On a
 //!   single-core box ({1, 2} is measured instead, so the thread tax of
@@ -30,7 +30,7 @@
 //!
 //! `--gate MIN` exits non-zero if the 1-shard speedup falls below `MIN`
 //! (CI uses 0.95): with the adaptive inline path, `with_shards(.., 1)`
-//! must cost essentially nothing over the sequential stream.
+//! must cost essentially nothing over the bare pool drain.
 //!
 //! `--metrics PATH` additionally measures the parallel shard count with a
 //! live `cn-obs` registry attached and writes the final repetition's

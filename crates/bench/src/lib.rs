@@ -1,7 +1,6 @@
-//! Shared measurement plumbing for the benchmark harness.
+//! Shared measurement plumbing for the tracked generation benchmark.
 //!
-//! The criterion benches under `benches/` cover micro-level hot paths;
-//! this library backs the *tracked* macro benchmark `gen_bench`
+//! This library backs the macro benchmark `gen_bench`
 //! (`src/bin/gen_bench.rs`), which generates a fixed workload and records
 //! `BENCH_gen.json`, so the generator's performance trajectory is visible
 //! PR over PR. The protocol is deliberately noise-hostile:
@@ -10,7 +9,7 @@
 //!   reports the **median** wall time (the headline) alongside the **min**
 //!   (the noise floor) — a single 29 ms run is timing noise, not a
 //!   measurement;
-//! * the sequential single-thread baseline and the sharded stream at
+//! * the bare-pool single-thread baseline and the sharded stream at
 //!   shard counts `{1, N_cores}` are all measured in the same process
 //!   ([`ShardPoint`]), each with its own `speedup_vs_baseline`, so a
 //!   1-shard result can never silently masquerade as a parallel one —
@@ -27,7 +26,7 @@
 //! than only surfacing at bench time.
 
 use cn_fit::ModelSet;
-use cn_gen::{generate_out_of_core, GenConfig, OutOfCoreConfig, PopulationStream, ShardedStream};
+use cn_gen::{generate_out_of_core, GenConfig, OutOfCoreConfig, ShardedStream, UePool};
 use cn_obs::{MetricValue, ObsSnapshot, Registry};
 use std::time::Instant;
 
@@ -242,10 +241,17 @@ pub fn measure_scale_point(
     }
 }
 
-/// Drain the sequential population stream — the single-threaded baseline
-/// every `BENCH_gen.json` records alongside the sharded results.
+/// Drain one bare [`UePool`] over the whole population — the
+/// single-threaded baseline every `BENCH_gen.json` records alongside the
+/// sharded results. The one-shard sharded stream drains the same pool
+/// inline, so the ratio of the two is the inline wrapper's overhead.
 pub fn run_sequential(models: &ModelSet, config: &GenConfig) -> u64 {
-    PopulationStream::new(models, config).count() as u64
+    let mut pool = UePool::new(models, config, 0..config.population.total());
+    let mut events = 0u64;
+    while pool.next_record().is_some() {
+        events += 1;
+    }
+    events
 }
 
 /// Drain the sharded stream at an explicit shard count.

@@ -1,6 +1,7 @@
-//! Population-scale synthesis: K per-UE generators in parallel.
+//! Population-scale synthesis: K per-UE generators merged into one trace.
 
 use crate::per_ue::generate_ue_with;
+use crate::shard::ShardedStream;
 use cn_fit::ModelSet;
 use cn_trace::{DeviceType, PopulationMix, Timestamp, Trace, UeId, MS_PER_HOUR};
 use serde::{Deserialize, Serialize};
@@ -33,8 +34,6 @@ pub struct GenConfig {
     pub duration_hours: f64,
     /// Master seed; every UE's stream is a pure function of `(seed, ue)`.
     pub seed: u64,
-    /// Worker threads (`0` = all cores).
-    pub threads: usize,
     /// Hour-boundary sojourn semantics (see [`HourSemantics`]).
     pub semantics: HourSemantics,
 }
@@ -64,7 +63,6 @@ impl GenConfig {
             start,
             duration_hours,
             seed,
-            threads: 0,
             semantics: HourSemantics::EntryHour,
         }
     }
@@ -79,6 +77,14 @@ impl GenConfig {
         } else {
             DeviceType::Tablet
         }
+    }
+
+    /// RNG seed of the synthesized UE at `index`: the master seed
+    /// decorrelated per UE via SplitMix64. Every engine seeds UE `index`
+    /// with this value, so its event stream does not depend on which shard,
+    /// chunk or merge carries it.
+    pub fn ue_seed(&self, index: u32) -> u64 {
+        splitmix64(self.seed ^ splitmix64(u64::from(index) + 0x5F0F))
     }
 
     /// End of the synthesis window. `duration_hours` is a public field, so
@@ -96,8 +102,8 @@ impl GenConfig {
     }
 }
 
-/// Worker threads / shards to use when a caller asks for "all cores"
-/// (`GenConfig::threads == 0`): [`std::thread::available_parallelism`],
+/// Shards to use when a caller asks for "all cores" ([`generate`],
+/// [`ShardedStream::new`]): [`std::thread::available_parallelism`],
 /// falling back to **1** when the parallelism cannot be determined
 /// (restricted cgroups, exotic platforms).
 ///
@@ -105,18 +111,10 @@ impl GenConfig {
 /// the sequential path is always correct and never slower, whereas
 /// speculatively spawning workers pays thread, channel, and merge tax for
 /// potentially zero parallelism — exactly the regression the adaptive
-/// sharded path exists to avoid. Shared by [`generate`],
-/// [`crate::ShardedStream::new`], and the tracked benchmark so every
-/// "0 = all cores" knob resolves identically.
+/// sharded path exists to avoid. Shared by [`ShardedStream::new`] and the
+/// benchmarks so every "all cores" choice resolves identically.
 pub fn effective_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Per-UE stream seed: decorrelated from the master seed via SplitMix64.
-/// Shared by the batch engine and [`crate::stream::PopulationStream`] so
-/// both produce identical per-UE streams.
-pub(crate) fn ue_stream_seed(seed: u64, index: u32) -> u64 {
-    splitmix64(seed ^ splitmix64(u64::from(index) + 0x5F0F))
 }
 
 /// SplitMix64 seed derivation (decorrelated per-UE seeds).
@@ -130,6 +128,9 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// Synthesize a population trace from a fitted model set (§7).
 ///
+/// A drain of [`ShardedStream::new`] (one shard per core, inline on a
+/// single-core box) through [`ShardedStream::collect_trace`].
+///
 /// ```
 /// use cn_fit::{fit, FitConfig, Method};
 /// use cn_gen::{generate, GenConfig};
@@ -142,54 +143,44 @@ fn splitmix64(mut x: u64) -> u64 {
 /// let trace = generate(&models, &config);
 /// assert!(trace.iter().all(|r| r.t >= config.start && r.t < config.end()));
 /// ```
+///
+/// # Panics
+///
+/// With the typed [`crate::StreamError`] if a shard worker panics: a
+/// short trace is never returned in place of a complete one. A shard holds
+/// at most 2²⁴ UEs ([`crate::UePool`]); larger populations belong in
+/// [`crate::generate_out_of_core`].
 pub fn generate(models: &ModelSet, config: &GenConfig) -> Trace {
-    let total = config.population.total();
-    // A NaN duration must take the empty-trace path too, not fall through
-    // to the generators (`NaN <= 0.0` is false).
-    if total == 0 || config.duration_hours.is_nan() || config.duration_hours <= 0.0 {
-        return Trace::new();
-    }
+    ShardedStream::new(models, config)
+        .collect_trace()
+        .unwrap_or_else(|e| panic!("generation failed: {e}"))
+}
+
+/// The test oracle: every UE materialized on its own with
+/// [`generate_ue_with`] and the per-UE traces merged with [`Trace::merge`].
+///
+/// Single-threaded, knob-free, and independent of the [`crate::UePool`]
+/// calendar queue that every production engine ([`generate`],
+/// [`ShardedStream`], [`crate::generate_out_of_core`]) merges through, so
+/// it can tell a merge bug from a generator bug. Tests and the golden gate
+/// compare against it; production callers want [`generate`].
+pub fn generate_reference(models: &ModelSet, config: &GenConfig) -> Trace {
     let end = config.end();
-    let threads = if config.threads == 0 {
-        effective_parallelism()
-    } else {
-        config.threads
-    }
-    .min(total as usize)
-    .max(1);
-    let chunk = total.div_ceil(threads as u32);
-
-    let partial: Vec<Trace> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads as u32)
-            .map(|w| {
-                scope.spawn(move |_| {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(total);
-                    let mut traces = Vec::new();
-                    for index in lo..hi {
-                        let device = config.device_of(index);
-                        traces.push(generate_ue_with(
-                            models.device(device),
-                            models.method,
-                            UeId(index),
-                            config.start,
-                            end,
-                            ue_stream_seed(config.seed, index),
-                            config.semantics,
-                        ));
-                    }
-                    Trace::merge(traces)
-                })
+    Trace::merge(
+        (0..config.population.total())
+            .map(|index| {
+                generate_ue_with(
+                    models.device(config.device_of(index)),
+                    models.method,
+                    UeId(index),
+                    config.start,
+                    end,
+                    config.ue_seed(index),
+                    config.semantics,
+                )
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("generator panicked"))
-            .collect()
-    })
-    .expect("scope panicked");
-
-    Trace::merge(partial)
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -223,19 +214,32 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_invariant() {
+    fn generate_matches_the_reference() {
         let set = fitted();
-        let mut config = GenConfig::new(
+        let config = GenConfig::new(
             PopulationMix::new(12, 5, 4),
             Timestamp::at_hour(0, 9),
             1.0,
             3,
         );
-        config.threads = 1;
-        let a = generate(&set, &config);
-        config.threads = 4;
-        let b = generate(&set, &config);
-        assert_eq!(a, b);
+        let trace = generate(&set, &config);
+        assert!(!trace.is_empty());
+        assert_eq!(trace, generate_reference(&set, &config));
+    }
+
+    #[test]
+    fn checkpoint_with_the_retired_threads_field_still_parses() {
+        let config = GenConfig::new(
+            PopulationMix::new(3, 2, 1),
+            Timestamp::at_hour(0, 9),
+            1.5,
+            17,
+        );
+        let json = serde_json::to_string(&config).unwrap();
+        let old = json.replacen("\"seed\"", "\"threads\":4,\"seed\"", 1);
+        assert_ne!(old, json);
+        let parsed: GenConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(parsed, config);
     }
 
     #[test]
@@ -263,5 +267,6 @@ mod tests {
             1,
         );
         assert!(generate(&set, &config).is_empty());
+        assert!(generate_reference(&set, &config).is_empty());
     }
 }

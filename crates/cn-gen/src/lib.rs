@@ -23,24 +23,26 @@
 //! with each subsequent hour's model. Per-UE event times are strictly
 //! increasing; UE streams are merged into one sorted population trace.
 //!
-//! Three synthesis surfaces share those per-UE generators and produce
-//! byte-identical traces for the same [`GenConfig`]:
+//! One engine merges those per-UE generators: the [`UePool`] calendar
+//! queue over packed integer keys. Three synthesis surfaces drive it and
+//! produce byte-identical traces for the same [`GenConfig`]:
 //!
-//! * [`generate`] — materialize the whole trace (parallel batch);
-//! * [`PopulationStream`] — sequential bounded-memory streaming via a
-//!   calendar-queue k-way merge over packed integer keys;
-//! * [`ShardedStream`] — multi-core streaming: disjoint UE shards on
-//!   worker threads, bounded block channels, and a block-draining S-way
-//!   merge. Execution is *adaptive*: at one effective shard (including
-//!   every single-core box) it runs the sequential merge inline, spawning
-//!   no threads, so the sharded API is never slower than
-//!   [`PopulationStream`].
+//! * [`ShardedStream`] — the in-memory engine: disjoint UE shards on worker
+//!   threads, bounded block channels, and a block-draining S-way merge.
+//!   Execution is *adaptive*: at one effective shard (including every
+//!   single-core box) it drains one [`UePool`] inline, spawning no threads.
+//! * [`generate`] — materialize the whole trace: a drain of
+//!   [`ShardedStream::new`] through [`ShardedStream::collect_trace`];
 //! * [`generate_out_of_core`] — population-scale binary export under a
 //!   bounded memory budget: UE-range chunks emit arena-encoded sorted
 //!   runs that spill to temp files past the budget and k-way merge back
 //!   into the sink as verbatim byte blocks (see [`outofcore`]).
 //!
-//! All "0 = all cores" knobs resolve through [`effective_parallelism`].
+//! [`generate_reference`] is the test oracle for all three: each UE
+//! materialized alone and the per-UE traces merged by
+//! [`cn_trace::Trace::merge`], with no pool and no threads.
+//!
+//! Every "all cores" choice resolves through [`effective_parallelism`].
 //!
 //! The sharded pipeline is **failure-contained**: a panicked worker
 //! surfaces as a typed [`StreamError`] through the fallible
@@ -58,12 +60,10 @@ pub mod outofcore;
 pub mod per_ue;
 pub mod pool;
 pub mod shard;
-pub mod stream;
 
-pub use engine::{effective_parallelism, generate, GenConfig, HourSemantics};
+pub use engine::{effective_parallelism, generate, generate_reference, GenConfig, HourSemantics};
 pub use fault::FaultPlan;
 pub use outofcore::{generate_out_of_core, OutOfCoreConfig, OutOfCoreReport};
 pub use per_ue::{generate_ue, UeEventIter};
 pub use pool::UePool;
 pub use shard::{ShardedStream, StreamError, StreamStats, WorkerOutcome};
-pub use stream::PopulationStream;

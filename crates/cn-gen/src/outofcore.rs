@@ -1,7 +1,7 @@
 //! Out-of-core generation: population-scale binary export under a
 //! bounded memory budget.
 //!
-//! [`PopulationStream`](crate::PopulationStream) keeps one live generator
+//! [`ShardedStream`](crate::ShardedStream) keeps one live generator
 //! per UE, so its resident set grows linearly with the population — at
 //! 10M UEs that is gigabytes of iterator state before the first record is
 //! written. [`generate_out_of_core`] bounds both sides:
@@ -404,7 +404,7 @@ pub fn generate_out_of_core<W: Write + Seek>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate;
+    use crate::generate_reference;
     use cn_fit::{fit, FitConfig, Method};
     use cn_trace::io::{from_binary, to_binary, FailingWriter};
     use cn_trace::{PopulationMix, Timestamp};
@@ -434,10 +434,10 @@ mod tests {
     }
 
     #[test]
-    fn matches_batch_to_binary_across_chunks_and_budgets() {
+    fn matches_reference_to_binary_across_chunks_and_budgets() {
         let models = fitted();
         let config = config();
-        let batch = generate(&models, &config);
+        let batch = generate_reference(&models, &config);
         let expect = to_binary(&batch);
         // A chunk whose UEs are all silent yields an empty run that never
         // appends — and so never spills, whatever the budget.

@@ -4,7 +4,7 @@
 //! population can be synthesized either by materializing each UE
 //! ([`generate_ue`]) or by merging hundreds of thousands of live iterators
 //! into one time-ordered stream with bounded memory
-//! ([`crate::stream::PopulationStream`]).
+//! ([`crate::UePool`], driven by [`crate::ShardedStream`]).
 
 use crate::engine::HourSemantics;
 use cn_fit::{ClusterHourModel, DeviceModels, Method, StateMachineKind};

@@ -1,7 +1,7 @@
 //! Struct-of-arrays UE pool: the compact merge hot path.
 //!
-//! [`PopulationStream`](crate::PopulationStream) originally merged its
-//! per-UE generators through a `LoserTree<TraceRecord>` — a
+//! The sequential population stream originally merged its per-UE
+//! generators through a `LoserTree<TraceRecord>` — a
 //! `Vec<Option<TraceRecord>>` of fat heads compared through the full
 //! record `Ord` on every tournament replay. Profiling the 20K-UE × 12h
 //! benchmark workload showed that merge layer costing ~3–4× the pure
@@ -32,9 +32,10 @@
 //! `(t, ue)` is already unique). The pool's output is byte-identical to
 //! the fat-tree merge; the `cn-verify` golden gate holds at pin parity.
 //!
-//! The same pool drives the sequential stream, each shard worker of the
-//! parallel stream (over a strided index set), and each UE-range chunk
-//! of the out-of-core generator ([`crate::outofcore`]).
+//! The same pool drives the inline (one-shard) path of
+//! [`crate::ShardedStream`], each of its shard workers (over a strided
+//! index set), and each UE-range chunk of the out-of-core generator
+//! ([`crate::outofcore`]).
 
 use crate::engine::GenConfig;
 use crate::per_ue::UeEventIter;
@@ -272,7 +273,7 @@ pub struct UePool<'m> {
 
 impl<'m> UePool<'m> {
     /// Build a pool over the UEs named by `indices`, with the same seeds,
-    /// device assignment, and semantics as [`crate::generate`] — so any
+    /// device assignment, and semantics as [`crate::generate_reference`] — so any
     /// partition of the population into pools merges back byte-identically.
     ///
     /// `indices` must be strictly increasing (every natural partition —
@@ -308,7 +309,7 @@ impl<'m> UePool<'m> {
                 UeId(index),
                 config.start,
                 end,
-                crate::engine::ue_stream_seed(config.seed, index),
+                config.ue_seed(index),
                 config.semantics,
             );
             let slot = iters.len();
@@ -446,6 +447,10 @@ mod tests {
         }
         halves.sort();
         assert_eq!(whole, halves);
+        assert_eq!(
+            whole,
+            crate::generate_reference(&models, &config).into_records()
+        );
         assert!(whole.len() > 50, "only {} events", whole.len());
     }
 
@@ -460,6 +465,25 @@ mod tests {
         );
         let mut pool = UePool::new(&models, &config, std::iter::empty());
         assert_eq!(pool.next_record(), None);
+        assert_eq!(pool.live(), 0);
+    }
+
+    #[test]
+    fn live_counts_ues_down_to_zero() {
+        let models = fitted();
+        let config = GenConfig::new(
+            PopulationMix::new(10, 4, 2),
+            Timestamp::at_hour(0, 12),
+            1.0,
+            3,
+        );
+        let mut pool = UePool::new(&models, &config, 0..16);
+        assert!(pool.live() <= 16);
+        let mut last = pool.live();
+        while pool.next_record().is_some() {
+            assert!(pool.live() <= last, "live UEs only ever retire");
+            last = pool.live();
+        }
         assert_eq!(pool.live(), 0);
     }
 

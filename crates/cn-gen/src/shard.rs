@@ -1,7 +1,7 @@
-//! Parallel sharded population streaming with adaptive execution.
+//! Sharded population streaming with adaptive execution: the in-memory
+//! generation engine.
 //!
-//! [`ShardedStream`] is the multi-core counterpart of
-//! [`crate::stream::PopulationStream`]: the population is partitioned into
+//! [`ShardedStream`] partitions the population into
 //! `S` disjoint UE shards (striped — UE `i` belongs to shard `i mod S` —
 //! so the device-type mix, and with it the per-UE event rate, balances
 //! across workers). Each shard runs on its own worker thread, merging its
@@ -14,11 +14,11 @@
 //!
 //! A single shard *is* the sequential merge, so `S == 1` (an explicit
 //! `with_shards(.., 1)`, a one-UE population, or [`ShardedStream::new`] on
-//! a single-core box — [`crate::effective_parallelism`] decides) runs the
-//! [`PopulationStream`] calendar queue **inline on the caller's thread**: no
-//! worker threads, no channels, no model clone. The sharded API is
-//! therefore never slower than the sequential stream; threads and
-//! channels are only paid for when there is parallelism to buy with them.
+//! a single-core box — [`crate::effective_parallelism`] decides) drains one
+//! [`UePool`] calendar queue **inline on the caller's thread**: no worker
+//! threads, no channels, no model clone. The sharded API is therefore
+//! never slower than a bare pool drain; threads and channels are only paid
+//! for when there is parallelism to buy with them.
 //! [`ShardedStream::is_inline`] / [`ShardedStream::worker_threads`] expose
 //! which path engaged.
 //!
@@ -36,8 +36,8 @@
 //!
 //! ### Determinism
 //!
-//! The output is **byte-identical** to the sequential stream and to the
-//! batch engine, for any shard count:
+//! The output is **byte-identical** for any shard count, and equal to the
+//! per-UE reference ([`crate::generate_reference`]):
 //!
 //! * every UE's stream is a pure function of `(seed, ue)` — the shard a UE
 //!   lands on does not touch its RNG;
@@ -81,7 +81,8 @@
 //! instead of being merged out as "exhausted". The fallible surface is
 //! [`ShardedStream::try_next`] plus [`ShardedStream::finish`] (which
 //! joins the workers and refuses to report success if any of them
-//! panicked). The plain [`Iterator`] impl cannot return errors, so it
+//! panicked), and [`ShardedStream::collect_trace`], which drains through
+//! both. The plain [`Iterator`] impl cannot return errors, so it
 //! **fuses and poisons**: after a failure it yields `None` forever, the
 //! error stays readable via [`ShardedStream::error`], and dropping the
 //! stream records every worker's exit — `cn_gen_worker_exit{outcome=…}`
@@ -111,10 +112,9 @@
 use crate::engine::{effective_parallelism, GenConfig};
 use crate::fault::{FaultHook, FaultPlan, NoFault};
 use crate::pool::UePool;
-use crate::stream::PopulationStream;
 use cn_fit::ModelSet;
 use cn_obs::{Counter, Histogram, HistogramSnapshot, Registry, TraceSink, TraceSpan};
-use cn_trace::{LoserTree, TraceRecord};
+use cn_trace::{LoserTree, Trace, TraceRecord};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, OnceLock};
@@ -292,7 +292,7 @@ impl ShardCursor {
 }
 
 /// A globally time-ordered population event stream produced by parallel
-/// shard workers — or, at one shard, by the sequential loser tree inline
+/// shard workers — or, at one shard, by one [`UePool`] drained inline
 /// (see module docs).
 ///
 /// ```no_run
@@ -314,19 +314,19 @@ pub struct ShardedStream<'m> {
 }
 
 enum Inner<'m> {
-    /// Single-shard fast path: the sequential merge, zero threads. The
+    /// Single-shard fast path: one pool drained on the caller's thread. The
     /// unobserved variant is a pure delegation — splitting it from
     /// [`Inner::InlineObserved`] keeps the default path's per-record cost
     /// at an emitted-count increment (the `--gate 0.95` benchmark floor
     /// leaves no budget for more).
     Inline {
-        stream: PopulationStream<'m>,
+        pool: UePool<'m>,
         /// Records emitted so far (feeds [`ShardedStream::finish`]).
         emitted: u64,
     },
     /// The inline fast path with a live registry attached.
     InlineObserved {
-        stream: PopulationStream<'m>,
+        pool: UePool<'m>,
         /// `cn_gen_merge_events_total`, fed from `pending` in batches so
         /// the observed inline hot path pays one plain add per record,
         /// not one atomic op (flushed every [`BLOCK_RECORDS`], at
@@ -459,9 +459,9 @@ struct ParallelStream {
 }
 
 impl<'m> ShardedStream<'m> {
-    /// Stream `config`'s population with one shard per configured thread
-    /// (`config.threads`, `0` = all cores via
-    /// [`crate::effective_parallelism`]).
+    /// Stream `config`'s population with one shard per core
+    /// ([`crate::effective_parallelism`]); use
+    /// [`ShardedStream::with_shards`] for an explicit count.
     pub fn new(models: &'m ModelSet, config: &GenConfig) -> ShardedStream<'m> {
         Self::new_observed(models, config, &Registry::disabled())
     }
@@ -474,17 +474,12 @@ impl<'m> ShardedStream<'m> {
         config: &GenConfig,
         registry: &Registry,
     ) -> ShardedStream<'m> {
-        let shards = if config.threads == 0 {
-            effective_parallelism()
-        } else {
-            config.threads
-        };
-        Self::with_shards_observed(models, config, shards, registry)
+        Self::with_shards_observed(models, config, effective_parallelism(), registry)
     }
 
     /// As [`ShardedStream::new`] with an explicit shard count. One shard
     /// (after clamping to the population size) engages the inline
-    /// sequential fast path; two or more spawn worker threads, cloning the
+    /// single-pool fast path; two or more spawn worker threads, cloning the
     /// model set once so the workers can outlive the caller's borrow.
     pub fn with_shards(
         models: &'m ModelSet,
@@ -566,16 +561,16 @@ impl<'m> ShardedStream<'m> {
         if shards == 1 {
             mode.set(0);
             workers.set(0);
-            let stream = PopulationStream::new(models, config);
+            let pool = UePool::new(models, config, 0..config.population.total());
             let inner = if registry.is_enabled() {
                 Inner::InlineObserved {
-                    stream,
+                    pool,
                     events: registry.counter("cn_gen_merge_events_total"),
                     pending: 0,
                     emitted: 0,
                 }
             } else {
-                Inner::Inline { stream, emitted: 0 }
+                Inner::Inline { pool, emitted: 0 }
             };
             return ShardedStream { inner };
         }
@@ -614,8 +609,8 @@ impl<'m> ShardedStream<'m> {
     /// counts as one shard until it drains).
     pub fn live_shards(&self) -> usize {
         match &self.inner {
-            Inner::Inline { stream, .. } | Inner::InlineObserved { stream, .. } => {
-                usize::from(stream.live_ues() > 0)
+            Inner::Inline { pool, .. } | Inner::InlineObserved { pool, .. } => {
+                usize::from(pool.live() > 0)
             }
             Inner::Parallel(p) => p.tree.live(),
         }
@@ -639,21 +634,22 @@ impl<'m> ShardedStream<'m> {
     /// at which point the stream is poisoned and every further call
     /// repeats the error. The inline path cannot fail (no workers, no
     /// channels) and always returns `Ok`.
+    #[inline]
     pub fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError> {
         match &mut self.inner {
-            Inner::Inline { stream, emitted } => {
-                let rec = stream.next();
+            Inner::Inline { pool, emitted } => {
+                let rec = pool.next_record();
                 if rec.is_some() {
                     *emitted += 1;
                 }
                 Ok(rec)
             }
             Inner::InlineObserved {
-                stream,
+                pool,
                 events,
                 pending,
                 emitted,
-            } => match stream.next() {
+            } => match pool.next_record() {
                 Some(rec) => {
                     *pending += 1;
                     *emitted += 1;
@@ -686,6 +682,24 @@ impl<'m> ShardedStream<'m> {
     /// therefore exactly: drain `try_next` to `Ok(None)`, then `finish()?`.
     pub fn finish(mut self) -> Result<StreamStats, StreamError> {
         self.finish_in_place()
+    }
+
+    /// Drain the whole stream into a [`Trace`]: [`ShardedStream::try_next`]
+    /// to exhaustion, then [`ShardedStream::finish`]. A worker failure
+    /// returns its typed [`StreamError`] and no partial trace — unlike
+    /// `Iterator::collect`, which stops at the failure and yields a short
+    /// trace that looks complete.
+    pub fn collect_trace(mut self) -> Result<Trace, StreamError> {
+        let mut records = Vec::new();
+        while let Some(rec) = self.try_next()? {
+            records.push(rec);
+        }
+        self.finish()?;
+        debug_assert!(
+            records.windows(2).all(|w| w[0] <= w[1]),
+            "sharded stream emitted out of order"
+        );
+        Ok(Trace::from_records(records))
     }
 
     fn finish_in_place(&mut self) -> Result<StreamStats, StreamError> {
@@ -738,6 +752,7 @@ impl Iterator for ShardedStream<'_> {
     /// it yields `None` from the failure on (never a record that would
     /// paper over the gap), [`ShardedStream::error`] holds the
     /// [`StreamError`], and drop still records every worker's exit.
+    #[inline]
     fn next(&mut self) -> Option<TraceRecord> {
         self.try_next().unwrap_or(None)
     }
@@ -1107,13 +1122,23 @@ fn shard_worker<F: FaultHook>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{generate, generate_reference, HourSemantics};
     use cn_fit::{fit, FitConfig, Method};
-    use cn_trace::{PopulationMix, Timestamp, Trace};
+    use cn_trace::{PopulationMix, Timestamp};
     use cn_world::{generate_world, WorldConfig};
 
-    fn fitted() -> ModelSet {
+    fn fitted_with(method: Method) -> ModelSet {
         let trace = generate_world(&WorldConfig::new(PopulationMix::new(24, 10, 6), 2.0, 5));
-        fit(&trace, &FitConfig::new(Method::Ours))
+        fit(&trace, &FitConfig::new(method))
+    }
+
+    fn fitted() -> ModelSet {
+        fitted_with(Method::Ours)
+    }
+
+    /// Events in `config`'s population, counted by the reference oracle.
+    fn reference_len(models: &ModelSet, config: &GenConfig) -> usize {
+        generate_reference(models, config).len()
     }
 
     fn config() -> GenConfig {
@@ -1125,14 +1150,56 @@ mod tests {
         )
     }
 
+    /// The determinism matrix: for both state-machine families and both
+    /// hour semantics, `generate` and the sharded stream at every shard
+    /// count (1 is the inline path, 31 is one UE per shard, 64 clamps to
+    /// 31) reproduce the per-UE reference byte for byte.
     #[test]
-    fn sharded_equals_sequential_for_any_shard_count() {
+    fn every_engine_matches_the_reference() {
+        for method in [Method::Ours, Method::Base] {
+            let models = fitted_with(method);
+            for semantics in [HourSemantics::EntryHour, HourSemantics::TruncateAtBoundary] {
+                let mut config = config();
+                config.duration_hours = 3.0;
+                config.semantics = semantics;
+                let reference = generate_reference(&models, &config);
+                assert!(
+                    reference.len() > 50,
+                    "{method:?}/{semantics:?}: tiny workload"
+                );
+                assert_eq!(
+                    generate(&models, &config),
+                    reference,
+                    "{method:?}/{semantics:?}: generate diverged"
+                );
+                for shards in [1usize, 2, 5, 31, 64] {
+                    let sharded = ShardedStream::with_shards(&models, &config, shards)
+                        .collect_trace()
+                        .expect("no fault injected");
+                    assert_eq!(
+                        sharded, reference,
+                        "{method:?}/{semantics:?}: {shards}-shard stream diverged"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stream_is_globally_time_ordered() {
         let models = fitted();
         let config = config();
-        let sequential: Trace = PopulationStream::new(&models, &config).collect();
-        for shards in [1usize, 2, 5, 31, 64] {
-            let sharded: Trace = ShardedStream::with_shards(&models, &config, shards).collect();
-            assert_eq!(sharded, sequential, "{shards} shards diverged");
+        for shards in [1usize, 3] {
+            let mut last: Option<TraceRecord> = None;
+            let mut n = 0usize;
+            for rec in ShardedStream::with_shards(&models, &config, shards) {
+                if let Some(prev) = last {
+                    assert!(prev < rec, "{shards} shards: {prev:?} then {rec:?}");
+                }
+                last = Some(rec);
+                n += 1;
+            }
+            assert!(n > 50, "{shards} shards produced only {n} events");
         }
     }
 
@@ -1146,7 +1213,7 @@ mod tests {
         assert!(stream.is_inline(), "1 shard must take the inline path");
         assert_eq!(stream.worker_threads(), 0);
         let n = stream.count();
-        assert_eq!(n, PopulationStream::new(&models, &config).count());
+        assert_eq!(n, reference_len(&models, &config));
     }
 
     #[test]
@@ -1182,8 +1249,7 @@ mod tests {
         let stream = ShardedStream::with_shards(&models, &config, 64);
         assert_eq!(stream.worker_threads(), 31);
         let n = stream.count();
-        let expected = PopulationStream::new(&models, &config).count();
-        assert_eq!(n, expected);
+        assert_eq!(n, reference_len(&models, &config));
     }
 
     #[test]
@@ -1231,7 +1297,7 @@ mod tests {
     fn finish_reports_stats_on_every_path() {
         let models = fitted();
         let config = config();
-        let expected = PopulationStream::new(&models, &config).count() as u64;
+        let expected = reference_len(&models, &config) as u64;
 
         // Parallel: drain, then finish — all workers completed.
         let mut stream = ShardedStream::with_shards(&models, &config, 3);
@@ -1284,14 +1350,14 @@ mod tests {
     fn observed_parallel_counters_balance_exactly() {
         let models = fitted();
         let config = config();
-        let expected = PopulationStream::new(&models, &config).count() as u64;
+        let expected = reference_len(&models, &config) as u64;
         let registry = Registry::new();
         let n = ShardedStream::with_shards_observed(&models, &config, 4, &registry).count() as u64;
         assert_eq!(n, expected);
 
         let snap = registry.snapshot();
         // The tentpole invariant: per-shard production sums to exactly
-        // what the merge emitted, which is exactly the sequential count.
+        // what the merge emitted, which is exactly the reference count.
         assert_eq!(snap.counter_total("cn_gen_shard_events_total"), Some(n));
         assert_eq!(snap.counter("cn_gen_merge_events_total"), Some(n));
         // Every shard shipped at least its final partial block.
@@ -1364,10 +1430,13 @@ mod tests {
     fn observed_stream_is_byte_identical_to_unobserved() {
         let models = fitted();
         let config = config();
-        let plain: Trace = ShardedStream::with_shards(&models, &config, 3).collect();
+        let plain = ShardedStream::with_shards(&models, &config, 3)
+            .collect_trace()
+            .unwrap();
         let registry = Registry::new();
-        let observed: Trace =
-            ShardedStream::with_shards_observed(&models, &config, 3, &registry).collect();
+        let observed = ShardedStream::with_shards_observed(&models, &config, 3, &registry)
+            .collect_trace()
+            .unwrap();
         assert_eq!(observed, plain, "telemetry must never change the stream");
     }
 
@@ -1390,7 +1459,7 @@ mod tests {
             &FaultPlan::new(),
         )
         .count();
-        assert_eq!(n, PopulationStream::new(&models, &config).count());
+        assert_eq!(n, reference_len(&models, &config));
     }
 
     #[test]

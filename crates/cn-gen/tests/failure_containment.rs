@@ -1,7 +1,7 @@
 //! Tier-1 failure-containment suite: every injected worker fault must
 //! surface as a typed [`StreamError`] — **never** as a silently truncated
-//! trace — while the no-fault path stays byte-identical to the sequential
-//! stream.
+//! trace — while the no-fault path stays byte-identical to the per-UE
+//! reference ([`cn_gen::generate_reference`]).
 //!
 //! Faults are injected deterministically via [`cn_gen::FaultPlan`]
 //! (`panic shard s at record k`, `slow shard`) through
@@ -11,7 +11,7 @@
 //! telemetry these tests assert on is meant to be used.
 
 use cn_fit::{fit, FitConfig, Method, ModelSet};
-use cn_gen::{FaultPlan, GenConfig, PopulationStream, ShardedStream, StreamError, WorkerOutcome};
+use cn_gen::{generate_reference, FaultPlan, GenConfig, ShardedStream, StreamError, WorkerOutcome};
 use cn_obs::Registry;
 use cn_trace::{PopulationMix, Timestamp, TraceRecord};
 use cn_world::{generate_world, WorldConfig};
@@ -43,8 +43,8 @@ fn small_config() -> GenConfig {
     )
 }
 
-fn sequential(models: &ModelSet, config: &GenConfig) -> Vec<TraceRecord> {
-    PopulationStream::new(models, config).collect()
+fn reference(models: &ModelSet, config: &GenConfig) -> Vec<TraceRecord> {
+    generate_reference(models, config).into_records()
 }
 
 /// Drain a stream through the fallible API, returning the records pulled
@@ -64,7 +64,7 @@ fn drain(stream: &mut ShardedStream<'_>) -> (Vec<TraceRecord>, Result<(), Stream
 fn mid_stream_panic_becomes_typed_error_never_a_short_trace() {
     let models = fitted();
     let config = big_config();
-    let expected = sequential(&models, &config);
+    let expected = reference(&models, &config);
     // Shard 1 of 2 must produce more than a full channel block, so the
     // fault fires after the consumer has already merged shipped data.
     assert!(
@@ -139,10 +139,42 @@ fn panic_in_an_unneeded_shard_still_fails_finish() {
 }
 
 #[test]
+fn collect_trace_returns_the_typed_error_and_no_partial_trace() {
+    let models = fitted();
+    let config = big_config();
+    let plan = FaultPlan::new().panic_shard_at(1, 5000);
+    let stream =
+        ShardedStream::with_shards_faulted(&models, &config, 2, &Registry::disabled(), &plan);
+    let err = stream
+        .collect_trace()
+        .expect_err("a worker panic must fail the whole drain");
+    let StreamError::WorkerPanicked { shard, payload } = &err else {
+        panic!("expected WorkerPanicked, got {err}");
+    };
+    assert_eq!(*shard, 1);
+    assert!(
+        payload.contains("injected fault"),
+        "payload kept: {payload}"
+    );
+
+    // The same drain without a fault is the complete reference trace.
+    let clean = ShardedStream::with_shards_faulted(
+        &models,
+        &config,
+        2,
+        &Registry::disabled(),
+        &FaultPlan::new(),
+    )
+    .collect_trace()
+    .expect("no fault injected");
+    assert_eq!(clean.into_records(), reference(&models, &config));
+}
+
+#[test]
 fn iterator_fuses_and_poisons_instead_of_ending_cleanly() {
     let models = fitted();
     let config = big_config();
-    let expected = sequential(&models, &config);
+    let expected = reference(&models, &config);
     let plan = FaultPlan::new().panic_shard_at(0, 5000);
     let mut stream =
         ShardedStream::with_shards_faulted(&models, &config, 2, &Registry::disabled(), &plan);
@@ -163,10 +195,10 @@ fn iterator_fuses_and_poisons_instead_of_ending_cleanly() {
 }
 
 #[test]
-fn no_fault_plan_is_byte_identical_to_sequential() {
+fn no_fault_plan_is_byte_identical_to_the_reference() {
     let models = fitted();
     let config = small_config();
-    let expected = sequential(&models, &config);
+    let expected = reference(&models, &config);
     for shards in [2usize, 3, 8] {
         let mut stream = ShardedStream::with_shards_faulted(
             &models,
@@ -191,7 +223,7 @@ fn no_fault_plan_is_byte_identical_to_sequential() {
 fn slow_shard_delays_but_never_corrupts_or_fails() {
     let models = fitted();
     let config = small_config();
-    let expected = sequential(&models, &config);
+    let expected = reference(&models, &config);
     let plan = FaultPlan::new().slow_shard(0, Duration::from_millis(2));
     let mut stream =
         ShardedStream::with_shards_faulted(&models, &config, 3, &Registry::disabled(), &plan);
@@ -216,7 +248,7 @@ fn abandoned_stream_with_blocked_worker_is_cancelled_not_panicked() {
         24.0,
         2023,
     );
-    let total = sequential(&models, &config).len();
+    let total = reference(&models, &config).len();
     // Each of the 2 shards holds far more records than the channel can
     // buffer (1 block drained at spawn + CHANNEL_BLOCKS queued), so the
     // workers are guaranteed to be blocked, mid-run, when we abandon.

@@ -1,10 +1,13 @@
-//! Property-based tests: generated traffic is conformant and streaming is
-//! exactly batch, for arbitrary seeds and window placements.
+//! Property-based tests: generated traffic is conformant and every engine
+//! is exactly the per-UE reference, for arbitrary seeds and window
+//! placements.
 
 use cn_fit::{fit, FitConfig, Method, ModelSet};
-use cn_gen::{generate, generate_out_of_core, GenConfig, OutOfCoreConfig, PopulationStream};
+use cn_gen::{
+    generate, generate_out_of_core, generate_reference, GenConfig, OutOfCoreConfig, ShardedStream,
+};
 use cn_statemachine::replay_ue;
-use cn_trace::{PopulationMix, Timestamp, Trace};
+use cn_trace::{PopulationMix, Timestamp};
 use cn_world::{generate_world, WorldConfig};
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -49,16 +52,21 @@ proptest! {
         }
     }
 
-    /// The streaming generator is the batch generator, event for event.
+    /// The in-memory engine is the per-UE reference, event for event:
+    /// `generate` (one shard per core) and the sharded stream at an
+    /// arbitrary shard count, the inline one-shard path included.
     #[test]
-    fn stream_matches_batch(config in arb_config()) {
+    fn stream_matches_reference(config in arb_config(), shards in 1usize..6) {
         let set = models(Method::Ours);
-        let batch = generate(set, &config);
-        let streamed: Trace = PopulationStream::new(set, &config).collect();
-        prop_assert_eq!(batch, streamed);
+        let reference = generate_reference(set, &config);
+        prop_assert_eq!(&generate(set, &config), &reference);
+        let streamed = ShardedStream::with_shards(set, &config, shards)
+            .collect_trace()
+            .expect("no fault injected");
+        prop_assert_eq!(streamed, reference, "{} shards", shards);
     }
 
-    /// Out-of-core export is byte-identical to the in-memory batch path
+    /// Out-of-core export is byte-identical to the per-UE reference
     /// for arbitrary chunk sizes and spill budgets — including budgets
     /// small enough to spill every run and chunk sizes down to one UE.
     /// Spilling changes *where* bytes wait, never what is written.
@@ -71,7 +79,7 @@ proptest! {
         budget in prop_oneof![Just(0usize), 1usize..32_768, Just(usize::MAX)],
     ) {
         let set = models(Method::Ours);
-        let expect = cn_trace::io::to_binary(&generate(set, &config));
+        let expect = cn_trace::io::to_binary(&generate_reference(set, &config));
         let occ = OutOfCoreConfig { chunk_ues, buffer_budget_bytes: budget, temp_dir: None };
         let (report, sink) =
             generate_out_of_core(set, &config, &occ, Cursor::new(Vec::new()))

@@ -52,7 +52,7 @@
 //! registry is attached with [`DesSim::observed`].
 
 use crate::nf::{NetworkFunction, TransactionMatrix};
-use crate::overload::{priority_of, AdmissionPolicy, Priority};
+use crate::overload::{priority_of, AdmissionPolicy, Priority, TokenBucket};
 use cn_obs::{Counter, Gauge, Histogram, Registry};
 use cn_stats::summary::percentile_sorted;
 use cn_stats::{Dist, LogNormal};
@@ -632,8 +632,8 @@ pub struct DesSim {
     last_arrival_ms: Option<u64>,
     t0_us: Option<u64>,
     end_us: u64,
-    tokens: f64,
-    last_token_us: Option<u64>,
+    /// Front-door admission state (`None` without a policy).
+    admission: Option<TokenBucket>,
     offered: u64,
     admitted: [u64; 3],
     shed: [u64; 3],
@@ -659,7 +659,7 @@ impl DesSim {
                 .collect::<Vec<_>>()
         });
         let nfs = config.nfs.iter().cloned().map(NfState::new).collect();
-        let tokens = config.admission.map_or(0.0, |p| p.burst);
+        let admission = config.admission.map(TokenBucket::new);
         Ok(DesSim {
             config,
             chains,
@@ -671,8 +671,7 @@ impl DesSim {
             last_arrival_ms: None,
             t0_us: None,
             end_us: 0,
-            tokens,
-            last_token_us: None,
+            admission,
             offered: 0,
             admitted: [0; 3],
             shed: [0; 3],
@@ -771,21 +770,8 @@ impl DesSim {
         self.offered += 1;
         self.obs.offered.inc();
         let priority = priority_of(rec.event);
-        if let Some(policy) = &self.config.admission {
-            if let Some(prev_us) = self.last_token_us {
-                self.tokens = (self.tokens
-                    + arrival_us.saturating_sub(prev_us) as f64 / 1e6 * policy.rate_per_sec)
-                    .min(policy.burst);
-            }
-            self.last_token_us = Some(arrival_us);
-            let floor = match priority {
-                Priority::Critical => 0.0,
-                Priority::High => policy.burst * policy.critical_reserve,
-                Priority::Low => policy.burst * (policy.critical_reserve + policy.high_reserve),
-            };
-            if self.tokens >= floor + 1.0 {
-                self.tokens -= 1.0;
-            } else {
+        if let Some(bucket) = &mut self.admission {
+            if !bucket.admit(arrival_us, priority) {
                 self.shed[priority as usize] += 1;
                 self.obs.shed[priority as usize].inc();
                 return Ok(());

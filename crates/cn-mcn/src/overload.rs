@@ -105,31 +105,61 @@ impl ShedReport {
     }
 }
 
-/// Run the admission controller over a trace; returns the report and the
-/// admitted sub-trace.
-pub fn apply(trace: &Trace, policy: &AdmissionPolicy) -> (ShedReport, Trace) {
-    let mut report = ShedReport::default();
-    let mut admitted = Vec::new();
-    let mut tokens = policy.burst;
-    let mut last_us: Option<u64> = None;
+/// The token bucket behind an [`AdmissionPolicy`]: the one admission
+/// decision shared by [`apply`] and the DES front door
+/// ([`crate::DesSim::offer`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TokenBucket {
+    policy: AdmissionPolicy,
+    tokens: f64,
+    last_us: Option<u64>,
+}
 
-    for rec in trace.iter() {
-        let now_us = rec.t.as_millis() * 1_000;
-        if let Some(prev) = last_us {
-            tokens = (tokens + (now_us.saturating_sub(prev)) as f64 / 1e6 * policy.rate_per_sec)
+impl TokenBucket {
+    /// A full bucket (`policy.burst` tokens) that has seen no arrival.
+    pub(crate) fn new(policy: AdmissionPolicy) -> TokenBucket {
+        TokenBucket {
+            policy,
+            tokens: policy.burst,
+            last_us: None,
+        }
+    }
+
+    /// Replenish for the time since the previous arrival, then admit an
+    /// arrival of `priority` at `now_us` (taking one token) or refuse it.
+    /// Each class may only draw the bucket down to its reserve floor.
+    pub(crate) fn admit(&mut self, now_us: u64, priority: Priority) -> bool {
+        let policy = &self.policy;
+        if let Some(prev) = self.last_us {
+            self.tokens = (self.tokens
+                + (now_us.saturating_sub(prev)) as f64 / 1e6 * policy.rate_per_sec)
                 .min(policy.burst);
         }
-        last_us = Some(now_us);
-
-        let priority = priority_of(rec.event);
+        self.last_us = Some(now_us);
         let floor = match priority {
             Priority::Critical => 0.0,
             Priority::High => policy.burst * policy.critical_reserve,
             Priority::Low => policy.burst * (policy.critical_reserve + policy.high_reserve),
         };
+        if self.tokens >= floor + 1.0 {
+            self.tokens -= 1.0;
+            true
+        } else {
+            false
+        }
+    }
+}
+
+/// Run the admission controller over a trace; returns the report and the
+/// admitted sub-trace.
+pub fn apply(trace: &Trace, policy: &AdmissionPolicy) -> (ShedReport, Trace) {
+    let mut report = ShedReport::default();
+    let mut admitted = Vec::new();
+    let mut bucket = TokenBucket::new(*policy);
+    for rec in trace.iter() {
+        let priority = priority_of(rec.event);
         let idx = priority as usize;
-        if tokens >= floor + 1.0 {
-            tokens -= 1.0;
+        if bucket.admit(rec.t.as_millis() * 1_000, priority) {
             report.admitted[idx] += 1;
             admitted.push(*rec);
         } else {
@@ -280,6 +310,29 @@ mod tests {
                 .counter_total("cn_mcn_overload_shed_total"),
             Some(2 * report.total_shed())
         );
+    }
+
+    #[test]
+    fn bucket_floors_reserve_tokens_for_higher_classes() {
+        // burst 8 (binary-exact reserves): low needs 4 tokens (floor 3 +
+        // 1), high needs 2 (floor 1 + 1), critical needs 1.
+        let policy = AdmissionPolicy {
+            rate_per_sec: 1.0,
+            burst: 8.0,
+            high_reserve: 0.25,
+            critical_reserve: 0.125,
+        };
+        let mut bucket = TokenBucket::new(policy);
+        let admitted = |bucket: &mut TokenBucket, p: Priority| {
+            (0..20).take_while(|_| bucket.admit(0, p)).count()
+        };
+        assert_eq!(admitted(&mut bucket, Priority::Low), 5);
+        assert_eq!(admitted(&mut bucket, Priority::High), 2);
+        assert_eq!(admitted(&mut bucket, Priority::Critical), 1);
+        assert!(!bucket.admit(0, Priority::Critical));
+        // One second at 1 token/s refills exactly one critical admission.
+        assert!(bucket.admit(1_000_000, Priority::Critical));
+        assert!(!bucket.admit(1_000_000, Priority::Critical));
     }
 
     #[test]

@@ -28,15 +28,15 @@ use std::collections::VecDeque;
 use crate::inject::materialize_phase;
 use crate::spec::{PhaseKind, ScenarioSpec, SpecError, UeSubset};
 use cn_fit::ModelSet;
-use cn_gen::{GenConfig, PopulationStream, ShardedStream, StreamError};
+use cn_gen::{GenConfig, ShardedStream, StreamError};
 use cn_obs::{Counter, Registry};
 use cn_trace::{Trace, TraceRecord};
 
 /// A fallible, ordered record source — the baseline leg of a scenario.
 ///
-/// Implemented for the sharded parallel stream (faults surface as typed
-/// errors), the sequential population stream, and any plain iterator of
-/// records (batch traces, binary readers, composed populations).
+/// Implemented for the sharded stream (faults surface as typed errors)
+/// and any plain iterator of records (batch traces, binary readers,
+/// composed populations).
 pub trait RecordSource {
     /// Pull the next record, or a typed stream fault.
     fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError>;
@@ -58,12 +58,6 @@ impl RecordSource for ShardedStream<'_> {
 
     fn finish(self) -> Result<(), StreamError> {
         ShardedStream::finish(self).map(|_| ())
-    }
-}
-
-impl RecordSource for PopulationStream<'_> {
-    fn try_next(&mut self) -> Result<Option<TraceRecord>, StreamError> {
-        Ok(self.next())
     }
 }
 
@@ -277,22 +271,17 @@ impl<S: RecordSource> RecordSource for ScenarioStream<'_, S> {
     }
 }
 
-/// Apply a scenario over the **batch** engine: generate with
-/// [`cn_gen::generate`], overlay, materialize.
+/// Apply a scenario over the generation engine and materialize the
+/// result: the overlay pulls its baseline from [`ShardedStream::new`]
+/// (one shard per core), the same engine [`cn_gen::generate`] drains.
 pub fn apply_scenario(
     spec: &ScenarioSpec,
     models: &ModelSet,
     config: &GenConfig,
     registry: &Registry,
 ) -> Result<(Trace, ScenarioStats), ScenarioError> {
-    let baseline = cn_gen::generate(models, config);
-    let stream = ScenarioStream::new(
-        spec,
-        config,
-        IterSource(baseline.into_records().into_iter()),
-        registry,
-    )?;
-    Ok(stream.collect_trace()?)
+    let baseline = ShardedStream::new(models, config);
+    Ok(ScenarioStream::new(spec, config, baseline, registry)?.collect_trace()?)
 }
 
 /// A scenario failure: either the spec was invalid, or the baseline
@@ -371,7 +360,7 @@ mod tests {
         let models = fitted();
         let config = config();
         let spec = ScenarioSpec::identity("id", 5);
-        let baseline = cn_gen::generate(&models, &config);
+        let baseline = cn_gen::generate_reference(&models, &config);
         let (out, stats) = apply_scenario(&spec, &models, &config, &Registry::disabled()).unwrap();
         assert_eq!(out, baseline);
         assert_eq!(stats.injected, 0);
@@ -470,17 +459,28 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_batch_scenarios_agree() {
+    fn every_engine_agrees_with_the_reference_overlay() {
         let models = fitted();
         let config = config();
         let spec = storm_spec(3);
-        let (batch, _) = apply_scenario(&spec, &models, &config, &Registry::disabled()).unwrap();
+        let baseline = cn_gen::generate_reference(&models, &config);
+        let reference = ScenarioStream::new(
+            &spec,
+            &config,
+            IterSource(baseline.into_records().into_iter()),
+            &Registry::disabled(),
+        )
+        .unwrap()
+        .collect_trace()
+        .unwrap();
+        let applied = apply_scenario(&spec, &models, &config, &Registry::disabled()).unwrap();
+        assert_eq!(applied, reference, "apply_scenario diverged");
         for shards in [1usize, 4, 8] {
             let source = ShardedStream::with_shards(&models, &config, shards);
             let stream =
                 ScenarioStream::new(&spec, &config, source, &Registry::disabled()).unwrap();
             let (out, _) = stream.collect_trace().unwrap();
-            assert_eq!(out, batch, "{shards}-shard scenario diverged");
+            assert_eq!(out, reference.0, "{shards}-shard scenario diverged");
         }
     }
 }

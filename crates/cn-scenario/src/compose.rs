@@ -32,7 +32,7 @@
 use std::collections::VecDeque;
 
 use cn_fit::ModelSet;
-use cn_gen::{GenConfig, PopulationStream, StreamError};
+use cn_gen::{GenConfig, StreamError, UePool};
 use cn_trace::{Timestamp, TraceRecord, UeId, MS_PER_HOUR};
 
 use crate::apply::RecordSource;
@@ -50,7 +50,7 @@ pub struct PopulationSlot<'m> {
 }
 
 struct Slot<'m> {
-    stream: PopulationStream<'m>,
+    pool: UePool<'m>,
     /// Records a negative offset clamped onto `t = 0`, re-sorted into
     /// composed `(t, ue, event)` order; drained before the live stream
     /// (see the module docs on clamped prefixes).
@@ -85,7 +85,7 @@ impl Slot<'_> {
         let cut = self.shift_ms.unsigned_abs();
         let mut prefix: Vec<TraceRecord> = Vec::new();
         let tail = loop {
-            match self.stream.next() {
+            match self.pool.next_record() {
                 Some(r) if r.t.as_millis() <= cut => prefix.push(self.shift(r)),
                 other => break other,
             }
@@ -103,7 +103,7 @@ impl Slot<'_> {
         self.peek = self
             .clamped
             .pop_front()
-            .or_else(|| self.stream.next().map(|r| self.shift(r)));
+            .or_else(|| self.pool.next_record().map(|r| self.shift(r)));
     }
 }
 
@@ -143,7 +143,7 @@ impl<'m> ComposedStream<'m> {
         let mut compiled = Vec::with_capacity(slots.len());
         for slot in slots {
             let mut s = Slot {
-                stream: PopulationStream::new(slot.models, &slot.config),
+                pool: UePool::new(slot.models, &slot.config, 0..slot.config.population.total()),
                 clamped: VecDeque::new(),
                 peek: None,
                 shift_ms: (slot.offset_hours * MS_PER_HOUR as f64).round() as i64,

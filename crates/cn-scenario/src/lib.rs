@@ -38,8 +38,9 @@
 //!
 //! Every injected record is a pure function of `(spec.seed, phase index,
 //! ue)` — nothing reads the baseline stream — so a scenario replays
-//! byte-identically over the batch, sharded (any shard count), and
-//! out-of-core engines. Each perturbation is confined to its declared
+//! byte-identically over the sharded stream (any shard count, and
+//! [`apply_scenario`] on top of it), the out-of-core export, and the
+//! per-UE reference. Each perturbation is confined to its declared
 //! window and subset by construction; outside every window the baseline
 //! passes through verbatim. The identity scenario (no phases) is
 //! provably inert. `cn-verify` pins all three properties with golden
@@ -48,8 +49,7 @@
 //! ## Plumbing
 //!
 //! [`ScenarioStream`] wraps any [`RecordSource`] (sharded stream,
-//! population stream, iterator, [`ComposedStream`] of time-zone-offset
-//! populations) and is itself drained via the same fallible
+//! iterator, [`ComposedStream`] of time-zone-offset populations) and is itself drained via the same fallible
 //! `try_next`/`finish` protocol, propagating [`cn_gen::StreamError`]
 //! faults unchanged. [`write_scenario_binary`] exports to the binary
 //! trace format under the finish-or-recover containment contract, and a

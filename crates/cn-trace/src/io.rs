@@ -278,7 +278,7 @@ pub fn recover_binary(data: &[u8]) -> Result<Trace, IoError> {
 
 /// Incremental writer for the binary format: stream records to any `Write`
 /// sink without materializing the trace (pairs with
-/// `cn-gen::PopulationStream`). The record count is written on `finish`,
+/// `cn-gen::ShardedStream`). The record count is written on `finish`,
 /// so the sink must support seeking — use [`BinaryStreamWriter::new`] on a
 /// `File` or an in-memory cursor.
 ///

@@ -11,8 +11,8 @@
 //! 3600x time compression (one trace hour per wall second) to a
 //! localhost TCP consumer, and gates on four properties:
 //!
-//! * **wire fidelity** — the bytes the consumer captures are the batch
-//!   engine's binary trace payload byte for byte (no gaps, End marker
+//! * **wire fidelity** — the bytes the consumer captures are the
+//!   in-process materialized trace's binary payload byte for byte (no gaps, End marker
 //!   at the exact watermark, count-placeholder header);
 //! * **bounded drift** — estimated p99 per-record emission lag behind
 //!   the absolute deadline stays under the gate (pacing jitter is
@@ -47,7 +47,7 @@ use cn_obs::{PromText, RecorderFrame, Registry, StatusReport, TraceSink};
 use cn_scenario::{
     Phase, PhaseKind, ScenarioSpec, ScenarioStream, StormKind, TimeWindow, UeSubset,
 };
-use cn_trace::{io::to_binary, DeviceType, PopulationMix, Timestamp, Trace};
+use cn_trace::{io::to_binary, DeviceType, PopulationMix, Timestamp};
 use cn_verify::GroundTruth;
 
 /// Fit the ground-truth models once; both the batch reference and every
@@ -279,23 +279,17 @@ fn main() {
     let config = live_config();
     let spec = live_spec();
 
-    // Batch reference: the same scenario drained by the batch engine.
+    // Batch reference: the same scenario materialized in process.
     eprintln!("live_check: building the batch reference trace...");
-    let batch: Trace = {
-        let mut stream = ScenarioStream::new(
-            &spec,
-            &config,
-            ShardedStream::new(&gt().set, &config),
-            &Registry::disabled(),
-        )
-        .expect("valid scenario spec");
-        let mut out = Vec::new();
-        while let Some(r) = stream.try_next().expect("batch stream") {
-            out.push(r);
-        }
-        stream.finish().expect("batch finish");
-        out.into_iter().collect()
-    };
+    let (batch, _) = ScenarioStream::new(
+        &spec,
+        &config,
+        ShardedStream::new(&gt().set, &config),
+        &Registry::disabled(),
+    )
+    .expect("valid scenario spec")
+    .collect_trace()
+    .expect("batch scenario stream");
     let payload = to_binary(&batch);
     let total = batch.len() as u64;
     println!(
@@ -331,7 +325,7 @@ fn main() {
     assert_eq!(
         records_wire,
         &payload[16..],
-        "served bytes diverge from the batch engine payload"
+        "served bytes diverge from the batch payload"
     );
     match cn_live::decode_frame(end_frame.try_into().unwrap()).expect("end frame") {
         cn_live::Frame::End { emitted } => assert_eq!(emitted, total),

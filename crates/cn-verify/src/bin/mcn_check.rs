@@ -46,7 +46,7 @@ use cn_verify::{
 /// One trace hour per wall second, matching `live_check`.
 const COMPRESSION: f64 = 3600.0;
 
-/// Collect a scenario's full trace through the batch engine.
+/// Materialize a scenario's full trace in process.
 fn scenario_trace(gt: &GroundTruth, config: &cn_gen::GenConfig, spec: &ScenarioSpec) -> Trace {
     let stream = ScenarioStream::new(
         spec,

@@ -8,7 +8,7 @@
 //! Runs the three scenario gates over the standard golden config:
 //!
 //! * **identity** — the empty scenario must reproduce the `standard-v1`
-//!   steady-state pin byte for byte on every engine (batch,
+//!   steady-state pin byte for byte on every engine (`apply_scenario`,
 //!   sharded × {1,8}, out-of-core export);
 //! * **flash-crowd** / **paging-storm** — the two canonical perturbed
 //!   scenarios must be engine-consistent and match their own pins.

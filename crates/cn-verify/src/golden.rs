@@ -1,15 +1,15 @@
 //! Golden-trace hashing: the cross-engine, cross-run regression gate.
 //!
-//! PR 1's parallel generator guarantees that the batch engine, the
-//! sequential [`PopulationStream`], and the work-stealing [`ShardedStream`]
-//! all produce byte-identical traces for the same [`GenConfig`], at any
-//! thread or shard count. This module turns that guarantee into two
-//! executable checks:
+//! Every generation surface — [`generate`], the [`ShardedStream`] at any
+//! shard count, and the out-of-core exporter — must produce the trace of
+//! the per-UE reference ([`generate_reference`]: each UE alone, merged by
+//! `Trace::merge`, no calendar-queue pool, no threads). This module turns
+//! that guarantee into two executable checks:
 //!
 //! * **consistency** — hash the canonical binary serialization
 //!   ([`cn_trace::io::to_binary`]) of the same small seeded trace produced
-//!   by every engine × `threads {1,4}` × `shards {1,8}` combination —
-//!   plus the out-of-core exporter with both an all-memory and a
+//!   by the reference, by [`generate`], by the sharded stream at shards
+//!   {1, 8}, and by the out-of-core exporter with both an all-memory and a
 //!   spill-everything budget — and demand a single hash;
 //! * **stability** — compare that hash against a pinned value checked into
 //!   `golden/hashes.json`, so a behavioral change to the generator, the
@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 
 use cn_fit::ModelSet;
 use cn_gen::{
-    generate, generate_out_of_core, GenConfig, OutOfCoreConfig, PopulationStream, ShardedStream,
+    generate, generate_out_of_core, generate_reference, GenConfig, OutOfCoreConfig, ShardedStream,
 };
 use cn_obs::Registry;
 use cn_trace::{PopulationMix, Timestamp, Trace};
@@ -46,10 +46,9 @@ pub fn trace_hash(trace: &Trace) -> u64 {
 /// One engine configuration and the hash it produced.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GoldenCase {
-    /// Engine name: `batch`, `stream`, or `sharded`.
+    /// Engine name: `reference`, `generate`, `outofcore-*`, `sharded`, or
+    /// a `scenario-*` overlay.
     pub engine: String,
-    /// Worker threads (batch engine only; 0 elsewhere).
-    pub threads: usize,
     /// Shard count (sharded engine only; 0 elsewhere).
     pub shards: usize,
     /// Events in the produced trace.
@@ -81,8 +80,8 @@ impl GoldenReport {
         let mut out = String::from("== golden trace hashes ==\n");
         for c in &self.cases {
             out.push_str(&format!(
-                "{:<8} threads={} shards={}  events={}  {:#018x}\n",
-                c.engine, c.threads, c.shards, c.events, c.hash
+                "{:<16} shards={}  events={}  {:#018x}\n",
+                c.engine, c.shards, c.events, c.hash
             ));
         }
         out.push_str(if self.consistent {
@@ -106,8 +105,8 @@ pub fn standard_config() -> GenConfig {
     )
 }
 
-/// Produce the same trace with every engine/thread/shard combination and
-/// hash each result.
+/// Produce the same trace with every engine/shard combination and hash
+/// each result.
 pub fn run_golden(models: &ModelSet, config: &GenConfig) -> GoldenReport {
     run_golden_observed(models, config, &Registry::disabled())
 }
@@ -128,34 +127,23 @@ pub fn run_golden(models: &ModelSet, config: &GenConfig) -> GoldenReport {
 /// `cn_gen_merge_events_total`, and only parallel cases (shards > 1)
 /// populate the per-shard `cn_gen_shard_events_total` series.
 ///
-/// Sharded cases are drained through the fallible
-/// [`ShardedStream::try_next`] / [`ShardedStream::finish`] API and the
-/// drained-event totals are asserted against the batch engine's workload
-/// size, so a worker failure or a short drain aborts the gate loudly
-/// instead of hashing a truncated trace into an "engine divergence".
+/// The per-UE reference (the first case) fixes the expected workload
+/// size. Sharded cases are drained through the fallible
+/// [`ShardedStream::collect_trace`], so a worker failure or a short drain
+/// aborts the gate loudly instead of hashing a truncated trace into an
+/// "engine divergence".
 pub fn run_golden_observed(
     models: &ModelSet,
     config: &GenConfig,
     registry: &Registry,
 ) -> GoldenReport {
     let mut cases = Vec::new();
-    for threads in [1usize, 4] {
-        let mut c = *config;
-        c.threads = threads;
-        let trace = generate(models, &c);
+    for (engine, trace) in [
+        ("reference", generate_reference(models, config)),
+        ("generate", generate(models, config)),
+    ] {
         cases.push(GoldenCase {
-            engine: "batch".into(),
-            threads,
-            shards: 0,
-            events: trace.len(),
-            hash: trace_hash(&trace),
-        });
-    }
-    {
-        let trace = Trace::from_records(PopulationStream::new(models, config).collect());
-        cases.push(GoldenCase {
-            engine: "stream".into(),
-            threads: 0,
+            engine: engine.into(),
             shards: 0,
             events: trace.len(),
             hash: trace_hash(&trace),
@@ -184,47 +172,24 @@ pub fn run_golden_observed(
         }
         cases.push(GoldenCase {
             engine: format!("outofcore-{tag}"),
-            threads: 0,
             shards: 0,
             events: report.events as usize,
             hash: fnv1a64(&sink.into_inner()),
         });
     }
-    // The batch engine (already pushed) fixes the expected workload size;
-    // the sharded cases below are drained through the *fallible* API so a
-    // worker failure aborts the gate as a typed error instead of hashing a
-    // silently truncated trace into a confusing "divergence".
     let expected_events = cases[0].events;
     for shards in [1usize, 8] {
-        let mut stream = ShardedStream::with_shards_observed(models, config, shards, registry);
-        let mut records = Vec::new();
-        loop {
-            match stream.try_next() {
-                Ok(Some(r)) => records.push(r),
-                Ok(None) => break,
-                Err(e) => panic!("golden sharded run (shards={shards}) failed: {e}"),
-            }
-        }
-        let stats = stream
-            .finish()
+        let trace = ShardedStream::with_shards_observed(models, config, shards, registry)
+            .collect_trace()
             .unwrap_or_else(|e| panic!("golden sharded run (shards={shards}) failed: {e}"));
-        // Drained-event accounting: everything the workers produced was
-        // merged, and it is exactly the workload the batch engine defined.
         assert_eq!(
-            stats.events as usize,
-            records.len(),
-            "sharded (shards={shards}) stream stats disagree with drained records"
-        );
-        assert_eq!(
-            records.len(),
+            trace.len(),
             expected_events,
             "sharded (shards={shards}) drained {} events, expected {expected_events}",
-            records.len()
+            trace.len()
         );
-        let trace = Trace::from_records(records);
         cases.push(GoldenCase {
             engine: "sharded".into(),
-            threads: 0,
             shards,
             events: trace.len(),
             hash: trace_hash(&trace),

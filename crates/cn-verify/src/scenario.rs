@@ -114,7 +114,7 @@ pub fn paging_storm_spec() -> ScenarioSpec {
 
 /// Overlay `spec` on every engine and hash each result.
 ///
-/// Cases: `scenario-batch` (materialized overlay), `scenario-sharded` ×
+/// Cases: `scenario-apply` ([`apply_scenario`]), `scenario-sharded` ×
 /// shards {1, 8} (fallible streaming overlay), and `scenario-outofcore`
 /// (baseline generated with a spill-everything out-of-core pass, decoded,
 /// overlaid, and re-exported through [`write_scenario_binary`] — hashing
@@ -129,10 +129,9 @@ pub fn run_scenario_golden(
     let mut cases = Vec::new();
     {
         let (trace, _) = apply_scenario(spec, models, config, registry)
-            .unwrap_or_else(|e| panic!("scenario '{}' batch overlay failed: {e}", spec.name));
+            .unwrap_or_else(|e| panic!("scenario '{}' apply_scenario failed: {e}", spec.name));
         cases.push(GoldenCase {
-            engine: "scenario-batch".into(),
-            threads: 0,
+            engine: "scenario-apply".into(),
             shards: 0,
             events: trace.len(),
             hash: trace_hash(&trace),
@@ -150,7 +149,6 @@ pub fn run_scenario_golden(
         });
         cases.push(GoldenCase {
             engine: "scenario-sharded".into(),
-            threads: 0,
             shards,
             events: trace.len(),
             hash: trace_hash(&trace),
@@ -184,7 +182,6 @@ pub fn run_scenario_golden(
             .unwrap_or_else(|e| panic!("scenario '{}' out-of-core export failed: {e}", spec.name));
         cases.push(GoldenCase {
             engine: "scenario-outofcore".into(),
-            threads: 0,
             shards: 0,
             events: stats.events as usize,
             hash: fnv1a64(&out.into_inner()),

@@ -37,7 +37,7 @@ fn identity_scenario_reproduces_the_steady_state_pin() {
         &identity_spec(),
         &Registry::disabled(),
     );
-    // scenario-batch, scenario-sharded × {1,8}, scenario-outofcore.
+    // scenario-apply, scenario-sharded × {1,8}, scenario-outofcore.
     assert_eq!(report.cases.len(), 4);
     assert!(report.consistent, "{}", report.render());
     // The identity overlay must be byte-inert: same pin as the plain

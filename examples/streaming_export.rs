@@ -3,10 +3,10 @@
 //!
 //! A week of a large population is hundreds of millions of events — too
 //! big to materialize. `ShardedStream` partitions the population into
-//! per-core UE shards, runs each shard's loser-tree merge on its own
+//! per-core UE shards, runs each shard's calendar-queue merge on its own
 //! worker thread, and hands the consumer a globally time-ordered stream
-//! (byte-identical to the sequential `PopulationStream` and to the batch
-//! engine) through bounded block channels — so a slow disk writer
+//! (byte-identical at any shard count, and to `generate`) through bounded
+//! block channels — so a slow disk writer
 //! backpressures the generators instead of buffering the trace.
 //!
 //! This example exports a multi-hour trace to CSV-on-disk while a
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let models = fit(&world, &FitConfig::new(Method::Ours));
 
     // Stream a 12-hour trace for a 10× population straight to disk,
-    // sharded across all cores (config.threads = 0 → one shard per core).
+    // sharded across all cores (`ShardedStream::new`: one shard per core).
     let config = GenConfig::new(model_mix.scaled(10.0), Timestamp::at_hour(0, 8), 12.0, 5);
     let path = std::env::temp_dir().join("cp_traffgen_stream.csv");
     let mut out = BufWriter::new(std::fs::File::create(&path)?);

@@ -2,7 +2,7 @@
 //! message-level expansion, model inventory, and trace relabeling —
 //! exercised together on one pipeline.
 
-use cellular_cp_traffgen::gen::PopulationStream;
+use cellular_cp_traffgen::gen::ShardedStream;
 use cellular_cp_traffgen::mcn::{messages, nf_load};
 use cellular_cp_traffgen::prelude::*;
 use cellular_cp_traffgen::trace::{relabel, TraceSummary};
@@ -19,7 +19,9 @@ fn setup() -> (ModelSet, GenConfig) {
 fn streamed_population_drives_message_level_simulation() {
     let (models, config) = setup();
     // Stream (bounded memory), collect for verification.
-    let trace: Trace = PopulationStream::new(&models, &config).collect();
+    let trace = ShardedStream::new(&models, &config)
+        .collect_trace()
+        .expect("no worker failed");
     assert!(!trace.is_empty());
 
     // Expand into 3GPP signaling messages; the count must equal the sum of

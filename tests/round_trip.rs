@@ -59,9 +59,9 @@ fn acceptance_round_trip_recovers_the_ground_truth() {
 fn golden_hashes_are_engine_invariant_and_pinned() {
     let gt = GroundTruth::standard(11);
     let report = run_golden(&gt.set, &cn_verify::golden::standard_config());
-    // batch × threads {1,4}, sequential stream, sharded × shards {1,8},
-    // out-of-core × budgets {all-memory, spill-everything}.
-    assert_eq!(report.cases.len(), 7);
+    // per-UE reference, generate, out-of-core × budgets {all-memory,
+    // spill-everything}, sharded × shards {1,8}.
+    assert_eq!(report.cases.len(), 6);
     assert!(report.consistent, "{}", report.render());
     check_pinned("standard-v1", report.hash().expect("consistent"))
         .unwrap_or_else(|e| panic!("{e}"));
