@@ -50,11 +50,19 @@
 //! `ScenarioStream`, or a live TCP connection decoded by `cn-live`.
 //! Telemetry flows through the `cn_mcn_des_*` metric family when a
 //! registry is attached with [`DesSim::observed`].
+//!
+//! ## Memory
+//!
+//! Jobs are fixed-size and recycled, and the calendar holds at most one
+//! entry per server a pool may have plus one control tick per autoscaled
+//! NF. Latencies
+//! below 65.5 ms are counted rather than stored, with exact quantiles;
+//! only the slower samples are kept one by one, so a run's memory grows
+//! with its slow tail, not with its length.
 
 use crate::nf::{NetworkFunction, TransactionMatrix};
 use crate::overload::{priority_of, AdmissionPolicy, Priority, TokenBucket};
 use cn_obs::{Counter, Gauge, Histogram, Registry};
-use cn_stats::summary::percentile_sorted;
 use cn_stats::{Dist, LogNormal};
 use cn_trace::{EventType, Trace, TraceRecord};
 use rand::rngs::StdRng;
@@ -146,6 +154,25 @@ pub enum DesError {
         /// Timestamp of the offending arrival, ms.
         got_ms: u64,
     },
+    /// [`DesSim::offer`] saw an arrival past the simulated-time horizon
+    /// (2^62 µs, about 146,000 years). The simulator is unchanged.
+    TimeOutOfRange {
+        /// Timestamp of the offending arrival, ms.
+        t_ms: u64,
+    },
+    /// The service times drawn for an admitted job would let the
+    /// calendar run past the simulated-time horizon: a service law on
+    /// the job's chain has a tail too heavy for the time domain. The
+    /// record counts as offered but neither admitted nor shed, so the
+    /// run no longer describes its input; stop feeding it.
+    ServiceOutOfRange {
+        /// Timestamp of the job's arrival, ms.
+        t_ms: u64,
+        /// The job's UE.
+        ue: u32,
+        /// The job's procedure.
+        event: EventType,
+    },
 }
 
 impl std::fmt::Display for DesError {
@@ -168,6 +195,14 @@ impl std::fmt::Display for DesError {
             DesError::UnsortedInput { prev_ms, got_ms } => write!(
                 f,
                 "unsorted input: arrival at {got_ms} ms after one at {prev_ms} ms"
+            ),
+            DesError::TimeOutOfRange { t_ms } => {
+                write!(f, "arrival at {t_ms} ms is past the simulated-time horizon")
+            }
+            DesError::ServiceOutOfRange { t_ms, ue, event } => write!(
+                f,
+                "{event} of UE {ue} at {t_ms} ms drew service times past the \
+                 simulated-time horizon"
             ),
         }
     }
@@ -263,6 +298,12 @@ impl DesConfig {
                 if p.eval_every_ms == 0 {
                     return Err(bad("eval_every_ms is zero"));
                 }
+                if p.eval_every_ms > MAX_DELAY_MS {
+                    return Err(bad("eval_every_ms past the simulated-time horizon"));
+                }
+                if p.provision_ms > MAX_DELAY_MS {
+                    return Err(bad("provision_ms past the simulated-time horizon"));
+                }
             }
         }
         for event in EventType::ALL {
@@ -289,6 +330,22 @@ impl DesConfig {
         Ok(())
     }
 }
+
+/// The simulated-time horizon, µs. Arrivals and the drain bound of all
+/// admitted work stay at or below it ([`DesError::TimeOutOfRange`],
+/// [`DesError::ServiceOutOfRange`]), and a control period or a
+/// provisioning delay is at most as long, so every calendar instant (at
+/// most the horizon plus one of each) fits a `u64`.
+const MAX_TIME_US: u64 = 1 << 62;
+
+/// Longest `eval_every_ms` and `provision_ms` [`DesConfig::validate`]
+/// accepts.
+const MAX_DELAY_MS: u64 = MAX_TIME_US / 1_000;
+
+/// Longest chain [`dependency_chain`] builds for any matrix: attach
+/// visits 7 NFs; every other event has at most 6 stages (its canonical
+/// visits plus the NFs that order skips).
+const MAX_CHAIN: usize = 7;
 
 fn nf_index(nf: NetworkFunction) -> usize {
     NetworkFunction::ALL
@@ -418,8 +475,106 @@ struct Job {
     stage: usize,
     event: EventType,
     /// Pre-drawn per-stage service times, µs (see module docs on
-    /// determinism).
-    stage_service_us: Vec<u64>,
+    /// determinism); entries past the chain's length are unused.
+    stage_service_us: [u64; MAX_CHAIN],
+}
+
+/// Number of latency values, from 0 µs up, that [`LatencyRecorder`]
+/// keeps as counts.
+const DENSE_US: usize = 1 << 16;
+
+/// Exact latency quantiles in bounded memory. Values below [`DENSE_US`]
+/// µs are counted in one zeroed 512 KiB table (pages never touched cost
+/// no RSS); larger values are kept verbatim in a tail that is sorted once
+/// when read. Reading out walks the values in ascending order, each
+/// repeated by its count — the same sequence a sort of every sample
+/// would give, so the quantiles and the mean are bit-identical to that.
+#[derive(Debug)]
+struct LatencyRecorder {
+    counts: Box<[u64]>,
+    tail: Vec<u64>,
+    len: u64,
+}
+
+impl LatencyRecorder {
+    fn new() -> LatencyRecorder {
+        LatencyRecorder {
+            counts: vec![0; DENSE_US].into_boxed_slice(),
+            tail: Vec::new(),
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, us: u64) {
+        if us < DENSE_US as u64 {
+            self.counts[us as usize] += 1;
+        } else {
+            self.tail.push(us);
+        }
+        self.len += 1;
+    }
+
+    /// `(value µs, multiplicity)` in ascending value order.
+    fn ascending(&mut self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.tail.sort_unstable();
+        let dense = (0u64..).zip(self.counts.iter().copied());
+        let tail = self.tail.iter().map(|&us| (us, 1));
+        dense.filter(|&(_, n)| n > 0).chain(tail)
+    }
+
+    /// The samples at the given ranks (0-based, any order) of the sorted
+    /// sequence; every rank must be below `len`.
+    fn at_ranks<const K: usize>(&mut self, ranks: [u64; K]) -> [u64; K] {
+        let mut order: [usize; K] = std::array::from_fn(|i| i);
+        order.sort_unstable_by_key(|&i| ranks[i]);
+        let mut out = [0; K];
+        let mut next = 0;
+        let mut seen = 0;
+        for (us, n) in self.ascending() {
+            seen += n;
+            while next < K && ranks[order[next]] < seen {
+                out[order[next]] = us;
+                next += 1;
+            }
+            if next == K {
+                break;
+            }
+        }
+        out
+    }
+
+    /// `[p50, p99, max]` in ms, each exactly what `percentile_sorted`
+    /// returns over the sorted samples in ms; zeros when empty.
+    fn quantiles_ms(&mut self) -> [f64; 3] {
+        let Some(last) = self.len.checked_sub(1) else {
+            return [0.0; 3];
+        };
+        let h50 = 0.50 * last as f64;
+        let h99 = 0.99 * last as f64;
+        let (lo50, hi50) = (h50.floor() as u64, h50.ceil() as u64);
+        let (lo99, hi99) = (h99.floor() as u64, h99.ceil() as u64);
+        let ms = |us: u64| us as f64 / 1_000.0;
+        let [a50, b50, a99, b99, max] = self.at_ranks([lo50, hi50, lo99, hi99, last]);
+        [
+            ms(a50) + (ms(b50) - ms(a50)) * (h50 - lo50 as f64),
+            ms(a99) + (ms(b99) - ms(a99)) * (h99 - lo99 as f64),
+            ms(max),
+        ]
+    }
+
+    /// Mean in ms, summed in ascending order exactly as a sort of every
+    /// sample would; 0 when empty.
+    fn mean_ms(&mut self) -> f64 {
+        if self.len == 0 {
+            return 0.0;
+        }
+        let len = self.len;
+        self.ascending()
+            .flat_map(|(us, n)| std::iter::repeat_n(us as f64 / 1_000.0, n as usize))
+            .sum::<f64>()
+            / len as f64
+    }
 }
 
 /// Telemetry handles (no-ops unless a registry is attached).
@@ -483,16 +638,17 @@ struct NfState {
     provisioning: usize,
     busy: usize,
     queue: VecDeque<u32>,
-    /// Accumulated busy server-time, µs.
-    busy_us: u64,
+    /// Accumulated busy server-time, µs (wide: servers × the time
+    /// horizon can exceed a `u64`).
+    busy_us: u128,
     /// Accumulated capacity integral ∫ servers dt, µs, up to
     /// `cap_since_us`.
-    cap_us: u64,
+    cap_us: u128,
     cap_since_us: u64,
     peak_depth: usize,
     stages: u64,
     transactions: u64,
-    stage_latencies_us: Vec<u64>,
+    stage_latencies_us: LatencyRecorder,
     /// Start of the current continuous high-watermark breach.
     breach_since_us: Option<u64>,
     scale_ups: u64,
@@ -515,7 +671,7 @@ impl NfState {
             peak_depth: 0,
             stages: 0,
             transactions: 0,
-            stage_latencies_us: Vec::new(),
+            stage_latencies_us: LatencyRecorder::new(),
             breach_since_us: None,
             scale_ups: 0,
             scale_downs: 0,
@@ -527,7 +683,7 @@ impl NfState {
     /// to `servers`).
     fn settle_capacity(&mut self, now_us: u64) {
         let dt = now_us.saturating_sub(self.cap_since_us);
-        self.cap_us += dt * self.servers as u64;
+        self.cap_us += u128::from(dt) * self.servers as u128;
         self.cap_since_us = now_us;
     }
 
@@ -639,7 +795,12 @@ pub struct DesSim {
     shed: [u64; 3],
     outstanding: u64,
     completed: u64,
-    latencies_us: Vec<u64>,
+    /// Lindley bound on when all admitted work is done: every arrival
+    /// raises it to at least the arrival, plus the job's total service.
+    /// While work is outstanding some server is busy, so no stage
+    /// completes after it.
+    drained_by_us: u64,
+    latencies_us: LatencyRecorder,
     input_done: bool,
     obs: DesObs,
 }
@@ -653,7 +814,12 @@ impl DesSim {
             pool_of[nf_index(nf_cfg.nf)] = i;
         }
         let chains = EventType::ALL.map(|event| {
-            dependency_chain(event, &config.matrix)
+            let chain = dependency_chain(event, &config.matrix);
+            assert!(
+                chain.len() <= MAX_CHAIN,
+                "{event}: chain longer than MAX_CHAIN"
+            );
+            chain
                 .into_iter()
                 .map(|(nf, tx)| (pool_of[nf_index(nf)], tx))
                 .collect::<Vec<_>>()
@@ -677,7 +843,8 @@ impl DesSim {
             shed: [0; 3],
             outstanding: 0,
             completed: 0,
-            latencies_us: Vec::new(),
+            drained_by_us: 0,
+            latencies_us: LatencyRecorder::new(),
             input_done: false,
             obs: DesObs::default(),
         })
@@ -716,8 +883,9 @@ impl DesSim {
     }
 
     /// Pre-draw every stage service time of one job from its own RNG —
-    /// a pure function of `(seed, ue, t, event)`.
-    fn draw_services(&self, rec: &TraceRecord) -> Vec<u64> {
+    /// a pure function of `(seed, ue, t, event)` — into `stages`, and
+    /// return their total, or `None` if a sum overflows.
+    fn draw_services(&self, rec: &TraceRecord, stages: &mut [u64; MAX_CHAIN]) -> Option<u64> {
         let chain = &self.chains[rec.event.code() as usize];
         let mut rng = StdRng::seed_from_u64(job_seed(
             self.config.seed,
@@ -725,20 +893,24 @@ impl DesSim {
             rec.t.as_millis(),
             rec.event.code(),
         ));
-        chain
-            .iter()
-            .map(|&(pool, tx)| {
-                let service = &self.config.nfs[pool].service;
-                (0..tx)
-                    .map(|_| service.sample(&mut rng).max(0.0).round() as u64)
-                    .sum()
-            })
-            .collect()
+        let mut total = 0u64;
+        for (stage_us, &(pool, tx)) in stages.iter_mut().zip(chain) {
+            let service = &self.config.nfs[pool].service;
+            for _ in 0..tx {
+                let draw = service.sample(&mut rng).max(0.0).round() as u64;
+                *stage_us = stage_us.checked_add(draw)?;
+            }
+            total = total.checked_add(*stage_us)?;
+        }
+        Some(total)
     }
 
     /// Offer one record at its trace timestamp. Input must be sorted by
     /// time (ties allowed); earlier-than-predecessor arrivals are a
     /// typed error, mirroring the `run_messages` sorted-arrival fix.
+    /// So are arrivals past the simulated-time horizon and jobs whose
+    /// service draws would run the calendar past it
+    /// ([`DesError::TimeOutOfRange`], [`DesError::ServiceOutOfRange`]).
     pub fn offer(&mut self, rec: &TraceRecord) -> Result<(), DesError> {
         let arrival_ms = rec.t.as_millis();
         if let Some(prev_ms) = self.last_arrival_ms {
@@ -749,8 +921,11 @@ impl DesSim {
                 });
             }
         }
+        let arrival_us = arrival_ms
+            .checked_mul(1_000)
+            .filter(|&t| t <= MAX_TIME_US)
+            .ok_or(DesError::TimeOutOfRange { t_ms: arrival_ms })?;
         self.last_arrival_ms = Some(arrival_ms);
-        let arrival_us = arrival_ms * 1_000;
         if self.t0_us.is_none() {
             self.t0_us = Some(arrival_us);
             self.end_us = arrival_us;
@@ -777,11 +952,22 @@ impl DesSim {
                 return Ok(());
             }
         }
+
+        let mut stage_service_us = [0; MAX_CHAIN];
+        self.drained_by_us = self
+            .draw_services(rec, &mut stage_service_us)
+            .and_then(|total| self.drained_by_us.max(arrival_us).checked_add(total))
+            .filter(|&t| t <= MAX_TIME_US)
+            .ok_or(DesError::ServiceOutOfRange {
+                t_ms: arrival_ms,
+                ue: rec.ue.0,
+                event: rec.event,
+            })?;
         self.admitted[priority as usize] += 1;
         self.obs.admitted[priority as usize].inc();
 
-        let stage_service_us = self.draw_services(rec);
-        if stage_service_us.is_empty() {
+        let chain = &self.chains[rec.event.code() as usize];
+        if chain.is_empty() {
             // A matrix can route an event nowhere; it completes at once.
             self.completed += 1;
             self.obs.completed.inc();
@@ -789,6 +975,7 @@ impl DesSim {
             self.obs.latency_us.record(0);
             return Ok(());
         }
+        let pool = chain[0].0;
         let job = Job {
             arrival_us,
             stage_enqueued_us: arrival_us,
@@ -807,7 +994,6 @@ impl DesSim {
             }
         };
         self.outstanding += 1;
-        let pool = self.chains[rec.event.code() as usize][0].0;
         self.enqueue(pool, id, arrival_us);
         Ok(())
     }
@@ -822,21 +1008,6 @@ impl DesSim {
         for state in &mut self.nfs {
             state.settle_capacity(end_us);
         }
-
-        let percentiles = |lat_us: &mut Vec<u64>| -> (f64, f64, f64, f64) {
-            if lat_us.is_empty() {
-                return (0.0, 0.0, 0.0, 0.0);
-            }
-            lat_us.sort_unstable();
-            let ms: Vec<f64> = lat_us.iter().map(|&l| l as f64 / 1_000.0).collect();
-            let mean = ms.iter().sum::<f64>() / ms.len() as f64;
-            (
-                mean,
-                percentile_sorted(&ms, 0.50),
-                percentile_sorted(&ms, 0.99),
-                *ms.last().expect("non-empty"),
-            )
-        };
 
         let per_nf = self
             .nfs
@@ -853,7 +1024,7 @@ impl DesSim {
                     );
                     ratio.min(1.0)
                 };
-                let (_, p50, p99, _) = percentiles(&mut state.stage_latencies_us);
+                let [p50, p99, _] = state.stage_latencies_us.quantiles_ms();
                 let lag_n = state.scaling_lags_ms.len();
                 NfDesReport {
                     nf: state.cfg.nf,
@@ -876,7 +1047,8 @@ impl DesSim {
             })
             .collect();
 
-        let (mean, p50, p99, max) = percentiles(&mut self.latencies_us);
+        let [p50, p99, max] = self.latencies_us.quantiles_ms();
+        let mean = self.latencies_us.mean_ms();
         let total_shed: u64 = self.shed.iter().sum();
         DesReport {
             offered: self.offered,
@@ -953,7 +1125,7 @@ impl DesSim {
             let state = &mut self.nfs[pool];
             let nf_idx = nf_index(state.cfg.nf);
             state.busy -= 1;
-            state.busy_us += service_us;
+            state.busy_us += u128::from(service_us);
             state.stages += 1;
             state.transactions += u64::from(tx);
             state.stage_latencies_us.push(stage_sojourn_us);
@@ -1290,6 +1462,40 @@ mod tests {
     }
 
     #[test]
+    fn calendar_holds_at_most_max_servers_plus_ticks() {
+        let mut cfg = DesConfig::default_epc(5);
+        cfg.nfs[0].servers = 1;
+        cfg.nfs[0].autoscale = Some(AutoscalePolicy {
+            min_servers: 1,
+            max_servers: 8,
+            high_depth_per_server: 4.0,
+            low_depth_per_server: 1.0,
+            eval_every_ms: 50,
+            provision_ms: 400,
+        });
+        // Σ max servers (8 + 4 × 2) plus the MME's control tick.
+        let bound = 8 + 4 * 2 + 1;
+        let mut sim = DesSim::new(cfg).unwrap();
+        let mut peak = 0;
+        for i in 0..5_000u64 {
+            sim.offer(&rec(i / 2, (i % 512) as u32, EventType::Attach))
+                .unwrap();
+            peak = peak.max(sim.calendar.len());
+            assert!(
+                sim.calendar.len() <= bound,
+                "{} entries",
+                sim.calendar.len()
+            );
+        }
+        let report = sim.finish();
+        assert!(report.per_nf[0].scale_ups > 0, "the storm never scaled");
+        assert!(
+            peak > bound / 2,
+            "the storm never loaded the calendar: {peak}"
+        );
+    }
+
+    #[test]
     fn idle_pools_scale_back_down() {
         let mut cfg = single_nf_config(2, 10_000.0);
         cfg.nfs[0].autoscale = Some(AutoscalePolicy {
@@ -1387,5 +1593,192 @@ mod tests {
         assert_eq!(report.completed, 0);
         assert_eq!(report.p99_latency_ms, 0.0);
         assert_eq!(report.shed_rate, 0.0);
+    }
+
+    #[test]
+    fn every_chain_fits_max_chain() {
+        let matrix = TransactionMatrix {
+            transactions: [[3; 5]; 6],
+        };
+        for event in EventType::ALL {
+            let len = dependency_chain(event, &matrix).len();
+            assert!(len <= MAX_CHAIN, "{event}: {len} stages");
+        }
+        let attach = dependency_chain(EventType::Attach, &matrix).len();
+        assert_eq!(attach, MAX_CHAIN, "attach is the longest chain");
+    }
+
+    #[test]
+    fn arrival_past_the_horizon_is_a_typed_error() {
+        let mut sim = DesSim::new(single_nf_config(1, 100.0)).unwrap();
+        assert_eq!(
+            sim.offer(&rec(u64::MAX, 0, EventType::Tau)),
+            Err(DesError::TimeOutOfRange { t_ms: u64::MAX })
+        );
+        // The simulator is unchanged: the last in-range instant still
+        // runs, and so does an earlier one.
+        sim.offer(&rec(0, 0, EventType::Tau)).unwrap();
+        sim.offer(&rec(MAX_DELAY_MS, 0, EventType::Tau)).unwrap();
+        let report = sim.finish();
+        assert_eq!((report.offered, report.completed), (2, 2));
+    }
+
+    #[test]
+    fn autoscale_delays_past_the_horizon_are_rejected() {
+        let with_policy = |eval_every_ms, provision_ms| {
+            let mut cfg = DesConfig::default_epc(1);
+            let policy = cfg.nfs[0].autoscale.as_mut().unwrap();
+            policy.eval_every_ms = eval_every_ms;
+            policy.provision_ms = provision_ms;
+            cfg
+        };
+        for cfg in [
+            with_policy(u64::MAX / 10, 5_000),
+            with_policy(1_000, u64::MAX / 10),
+        ] {
+            assert!(matches!(
+                DesSim::new(cfg).err(),
+                Some(DesError::BadAutoscale {
+                    nf: NetworkFunction::Mme,
+                    ..
+                })
+            ));
+        }
+        // The longest accepted delays run a storm without overflow.
+        let mut sim = DesSim::new(with_policy(MAX_DELAY_MS, MAX_DELAY_MS)).unwrap();
+        for i in 0..200u64 {
+            sim.offer(&rec(i, (i % 8) as u32, EventType::Attach))
+                .unwrap();
+        }
+        assert_eq!(sim.finish().completed, 200);
+    }
+
+    #[test]
+    fn heavy_tailed_service_law_is_a_typed_error() {
+        let mut cfg = single_nf_config(4, 0.0);
+        cfg.nfs[0].service = Dist::Pareto(cn_stats::Pareto::new(0.1, 1_000.0).unwrap());
+        let mut sim = DesSim::new(cfg).unwrap();
+        let err = (0..2_000u64)
+            .find_map(|i| sim.offer(&rec(i, (i % 64) as u32, EventType::Tau)).err())
+            .expect("a 0.1-shape Pareto law leaves the time domain");
+        assert!(matches!(err, DesError::ServiceOutOfRange { .. }), "{err}");
+        // Even the work admitted before the error drains without overflow.
+        sim.finish();
+    }
+
+    #[test]
+    fn large_in_range_services_run_to_the_horizon() {
+        // 10^17 µs per job: about 46 jobs fit below the horizon.
+        let mut sim = DesSim::new(single_nf_config(2, 1e17)).unwrap();
+        let admitted = (0..100u64)
+            .take_while(|&i| sim.offer(&rec(i, 0, EventType::Tau)).is_ok())
+            .count() as u64;
+        assert_eq!(admitted, MAX_TIME_US / 100_000_000_000_000_000);
+        let report = sim.finish();
+        assert_eq!(report.completed, admitted);
+    }
+
+    mod recorder {
+        use super::super::{LatencyRecorder, DENSE_US};
+        use cn_stats::summary::percentile_sorted;
+        use proptest::prelude::*;
+
+        /// The sort-everything path the recorder replaced: `(mean, p50,
+        /// p99, max)` in ms.
+        fn oracle(samples: &[u64]) -> [f64; 4] {
+            if samples.is_empty() {
+                return [0.0; 4];
+            }
+            let mut sorted = samples.to_vec();
+            sorted.sort_unstable();
+            let ms: Vec<f64> = sorted.iter().map(|&l| l as f64 / 1_000.0).collect();
+            [
+                ms.iter().sum::<f64>() / ms.len() as f64,
+                percentile_sorted(&ms, 0.50),
+                percentile_sorted(&ms, 0.99),
+                *ms.last().expect("non-empty"),
+            ]
+        }
+
+        fn recorded(samples: &[u64]) -> [f64; 4] {
+            let mut rec = LatencyRecorder::new();
+            for &us in samples {
+                rec.push(us);
+            }
+            let [p50, p99, max] = rec.quantiles_ms();
+            [rec.mean_ms(), p50, p99, max]
+        }
+
+        fn assert_bit_identical(samples: &[u64]) -> Result<(), TestCaseError> {
+            let (got, want) = (recorded(samples), oracle(samples));
+            prop_assert_eq!(
+                got.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "{got:?} vs {want:?}"
+            );
+            Ok(())
+        }
+
+        const EDGE: u64 = DENSE_US as u64;
+
+        fn latency_us() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                0u64..EDGE,
+                EDGE - 3..EDGE + 3,
+                0u64..40,
+                EDGE..1 << 40,
+                Just(0u64),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn recorder_matches_sorting_every_sample(
+                samples in prop::collection::vec(latency_us(), 0..400),
+            ) {
+                assert_bit_identical(&samples)?;
+            }
+
+            #[test]
+            fn recorder_matches_on_heavy_repeats(
+                samples in prop::collection::vec(0u64..50, 0..3_000),
+            ) {
+                assert_bit_identical(&samples)?;
+            }
+
+            #[test]
+            fn recorder_matches_on_an_all_tail_run(
+                samples in prop::collection::vec(EDGE..1u64 << 50, 1..200),
+            ) {
+                assert_bit_identical(&samples)?;
+            }
+        }
+
+        #[test]
+        fn recorder_matches_at_the_edges() {
+            for samples in [
+                vec![],
+                vec![0],
+                vec![EDGE - 1],
+                vec![EDGE],
+                vec![0, EDGE - 1, EDGE],
+                vec![EDGE, EDGE - 1, 0, EDGE, 0],
+                vec![u64::MAX / 4; 3],
+            ] {
+                assert_bit_identical(&samples).unwrap();
+            }
+        }
+
+        #[test]
+        fn dense_range_pushes_never_touch_the_tail() {
+            let mut rec = LatencyRecorder::new();
+            for i in 0..10_000_000u64 {
+                rec.push(i % EDGE);
+            }
+            assert_eq!(rec.tail.capacity(), 0);
+            assert_eq!(rec.len, 10_000_000);
+        }
     }
 }

@@ -23,6 +23,9 @@
 //!   MME scaling lag, utilization) match `BENCH_mcn.json` exactly.
 //!   Re-bless intentional changes with `CN_MCN_BLESS=1`.
 //!
+//! For each scenario it also prints which NF has the largest p99 stage
+//! latency in the batch report: the stage that dominates the tail.
+//!
 //! `--metrics PATH` writes a `cn-obs` snapshot including the
 //! `cn_mcn_des_*` family from the gated runs. `--bench PATH` overrides
 //! the pinned benchmark location (the default is the repo-root
@@ -209,6 +212,19 @@ fn main() {
             );
         }
         gate(&registry, &format!("mcn-closed-loop-{}", spec.name), closed);
+
+        // Which NF stage dominates the tail: the pool a capacity planner
+        // should look at first.
+        if let Some(top) = direct
+            .per_nf
+            .iter()
+            .max_by(|a, b| a.p99_stage_latency_ms.total_cmp(&b.p99_stage_latency_ms))
+        {
+            println!(
+                "mcn_check: {} p99 stage latency is largest at {} ({:.3} ms)",
+                spec.name, top.nf, top.p99_stage_latency_ms
+            );
+        }
 
         let name = key
             .strip_prefix("scenario-")
