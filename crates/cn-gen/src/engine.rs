@@ -1,6 +1,7 @@
 //! Population-scale synthesis: K per-UE generators merged into one trace.
 
 use crate::per_ue::generate_ue_with;
+use crate::pool::MAX_HORIZON_MS;
 use crate::shard::ShardedStream;
 use cn_fit::ModelSet;
 use cn_trace::{DeviceType, PopulationMix, Timestamp, Trace, UeId, MS_PER_HOUR};
@@ -21,6 +22,42 @@ pub enum HourSemantics {
     /// after another"; long sojourns become products of hourly survival).
     TruncateAtBoundary,
 }
+
+/// Why a [`GenConfig`] cannot be synthesized (see [`GenConfig::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The synthesis window is longer than a [`crate::UePool`] key can
+    /// address.
+    HorizonTooLong {
+        /// The requested window, `end − start`, in ms.
+        horizon_ms: u64,
+        /// The longest window accepted, in ms (2⁴⁰ − 1).
+        max_ms: u64,
+    },
+    /// The device counts sum past `u32::MAX` UEs.
+    PopulationOverflow(PopulationMix),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::HorizonTooLong { horizon_ms, max_ms } => write!(
+                f,
+                "synthesis window of {horizon_ms} ms exceeds the {max_ms} ms limit"
+            ),
+            ConfigError::PopulationOverflow(mix) => write!(
+                f,
+                "population of {} phones + {} connected cars + {} tablets exceeds {} UEs",
+                mix.phones,
+                mix.connected_cars,
+                mix.tablets,
+                u32::MAX
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Configuration of a synthesis run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -65,6 +102,27 @@ impl GenConfig {
             seed,
             semantics: HourSemantics::EntryHour,
         }
+    }
+
+    /// Check the limits [`GenConfig::new`] cannot enforce on its own: the
+    /// window must fit a pool's 40-bit key time (2⁴⁰ − 1 ms, ~305,419 h)
+    /// and the device counts must sum within `u32`. Configs that arrive
+    /// from outside the process (checkpoint JSON) pass through here, so
+    /// they fail with a typed error rather than a panic deep in a pool.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let mix = self.population;
+        mix.phones
+            .checked_add(mix.connected_cars)
+            .and_then(|n| n.checked_add(mix.tablets))
+            .ok_or(ConfigError::PopulationOverflow(mix))?;
+        let horizon_ms = self.end().as_millis() - self.start.as_millis();
+        if horizon_ms > MAX_HORIZON_MS {
+            return Err(ConfigError::HorizonTooLong {
+                horizon_ms,
+                max_ms: MAX_HORIZON_MS,
+            });
+        }
+        Ok(())
     }
 
     /// Device type of the synthesized UE at `index` (phones first, then

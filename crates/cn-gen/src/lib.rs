@@ -61,7 +61,9 @@ pub mod per_ue;
 pub mod pool;
 pub mod shard;
 
-pub use engine::{effective_parallelism, generate, generate_reference, GenConfig, HourSemantics};
+pub use engine::{
+    effective_parallelism, generate, generate_reference, ConfigError, GenConfig, HourSemantics,
+};
 pub use fault::FaultPlan;
 pub use outofcore::{generate_out_of_core, OutOfCoreConfig, OutOfCoreReport};
 pub use per_ue::{generate_ue, UeEventIter};

@@ -1150,36 +1150,39 @@ mod tests {
         )
     }
 
-    /// The determinism matrix: for both state-machine families and both
-    /// hour semantics, `generate` and the sharded stream at every shard
-    /// count (1 is the inline path, 31 is one UE per shard, 64 clamps to
-    /// 31) reproduce the per-UE reference byte for byte.
+    /// The determinism matrix: for both state-machine families, both
+    /// hour semantics and three horizons, `generate` and the sharded
+    /// stream at every shard count (1 is the inline path, 31 is one UE per
+    /// shard, 64 clamps to 31) reproduce the per-UE reference byte for
+    /// byte. The short horizons leave most pool slots exhausted at priming
+    /// (no generator kept) and some with exactly `LOOKAHEAD` events; the
+    /// long one keeps generators refilling.
     #[test]
     fn every_engine_matches_the_reference() {
         for method in [Method::Ours, Method::Base] {
             let models = fitted_with(method);
             for semantics in [HourSemantics::EntryHour, HourSemantics::TruncateAtBoundary] {
-                let mut config = config();
-                config.duration_hours = 3.0;
-                config.semantics = semantics;
-                let reference = generate_reference(&models, &config);
-                assert!(
-                    reference.len() > 50,
-                    "{method:?}/{semantics:?}: tiny workload"
-                );
-                assert_eq!(
-                    generate(&models, &config),
-                    reference,
-                    "{method:?}/{semantics:?}: generate diverged"
-                );
-                for shards in [1usize, 2, 5, 31, 64] {
-                    let sharded = ShardedStream::with_shards(&models, &config, shards)
-                        .collect_trace()
-                        .expect("no fault injected");
-                    assert_eq!(
-                        sharded, reference,
-                        "{method:?}/{semantics:?}: {shards}-shard stream diverged"
+                for hours in [0.1, 0.5, 3.0] {
+                    let mut config = config();
+                    config.duration_hours = hours;
+                    config.semantics = semantics;
+                    let case = format!("{method:?}/{semantics:?}/{hours} h");
+                    let reference = generate_reference(&models, &config);
+                    assert!(
+                        reference.len() as f64 > 50.0 * hours,
+                        "{case}: tiny workload"
                     );
+                    assert_eq!(
+                        generate(&models, &config),
+                        reference,
+                        "{case}: generate diverged"
+                    );
+                    for shards in [1usize, 2, 5, 31, 64] {
+                        let sharded = ShardedStream::with_shards(&models, &config, shards)
+                            .collect_trace()
+                            .expect("no fault injected");
+                        assert_eq!(sharded, reference, "{case}: {shards}-shard stream diverged");
+                    }
                 }
             }
         }

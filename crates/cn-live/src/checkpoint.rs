@@ -20,7 +20,7 @@
 
 use std::path::Path;
 
-use cn_gen::GenConfig;
+use cn_gen::{ConfigError, GenConfig};
 use cn_scenario::ScenarioSpec;
 use serde::{Deserialize, Serialize};
 
@@ -50,6 +50,8 @@ pub enum CheckpointError {
     },
     /// The file exists but does not parse as a checkpoint.
     Parse(String),
+    /// The file parses, but its generation config is out of range.
+    Config(ConfigError),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -59,6 +61,7 @@ impl std::fmt::Display for CheckpointError {
                 write!(f, "checkpoint {stage} failed: {message}")
             }
             CheckpointError::Parse(msg) => write!(f, "malformed checkpoint: {msg}"),
+            CheckpointError::Config(e) => write!(f, "checkpoint config out of range: {e}"),
         }
     }
 }
@@ -83,13 +86,17 @@ impl Checkpoint {
         })
     }
 
-    /// Load a checkpoint previously written by [`Checkpoint::save`].
+    /// Load a checkpoint previously written by [`Checkpoint::save`]. Its
+    /// config must pass [`GenConfig::validate`].
     pub fn load(path: &Path) -> Result<Checkpoint, CheckpointError> {
         let json = std::fs::read_to_string(path).map_err(|e| CheckpointError::Io {
             stage: "read",
             message: e.to_string(),
         })?;
-        serde_json::from_str(&json).map_err(|e| CheckpointError::Parse(e.to_string()))
+        let ckpt: Checkpoint =
+            serde_json::from_str(&json).map_err(|e| CheckpointError::Parse(e.to_string()))?;
+        ckpt.config.validate().map_err(CheckpointError::Config)?;
+        Ok(ckpt)
     }
 }
 
@@ -98,25 +105,62 @@ mod tests {
     use super::*;
     use cn_trace::{PopulationMix, Timestamp};
 
-    #[test]
-    fn checkpoint_round_trips_through_disk() {
-        let ckpt = Checkpoint {
+    fn checkpoint(population: PopulationMix, duration_hours: f64) -> Checkpoint {
+        Checkpoint {
             emitted: 123_456,
             compression: 3600.0,
-            config: GenConfig::new(
-                PopulationMix::new(10, 4, 2),
-                Timestamp::at_hour(0, 9),
-                1.5,
-                42,
-            ),
+            config: GenConfig::new(population, Timestamp::at_hour(0, 9), duration_hours, 42),
             scenario: None,
-        };
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("cn-live-ckpt-test-{}.json", std::process::id()));
+        }
+    }
+
+    /// Save `ckpt` under a per-test file name and load it back.
+    fn round_trip(ckpt: &Checkpoint, name: &str) -> Result<Checkpoint, CheckpointError> {
+        let path =
+            std::env::temp_dir().join(format!("cn-live-ckpt-{name}-{}.json", std::process::id()));
         ckpt.save(&path).unwrap();
-        let loaded = Checkpoint::load(&path).unwrap();
+        let loaded = Checkpoint::load(&path);
         std::fs::remove_file(&path).ok();
-        assert_eq!(loaded, ckpt);
+        loaded
+    }
+
+    #[test]
+    fn checkpoint_round_trips_through_disk() {
+        let ckpt = checkpoint(PopulationMix::new(10, 4, 2), 1.5);
+        assert_eq!(round_trip(&ckpt, "test").unwrap(), ckpt);
+    }
+
+    #[test]
+    fn a_window_past_the_key_range_is_a_typed_error() {
+        // 305,421 h is past 2^40 ms; a pool built from it used to panic
+        // with an index out of bounds once its keys wrapped.
+        let got = round_trip(
+            &checkpoint(PopulationMix::new(1, 0, 0), 305_421.0),
+            "horizon",
+        );
+        assert!(
+            matches!(
+                got,
+                Err(CheckpointError::Config(ConfigError::HorizonTooLong { max_ms, .. }))
+                    if max_ms == (1 << 40) - 1
+            ),
+            "{got:?}"
+        );
+        // A window just inside the limit still loads.
+        let ok = checkpoint(PopulationMix::new(1, 0, 0), 305_419.0);
+        assert_eq!(round_trip(&ok, "horizon-ok").unwrap(), ok);
+    }
+
+    #[test]
+    fn a_population_past_u32_is_a_typed_error() {
+        let mix = PopulationMix::new(u32::MAX, 1, 0);
+        let got = round_trip(&checkpoint(mix, 1.0), "population");
+        assert_eq!(
+            got,
+            Err(CheckpointError::Config(ConfigError::PopulationOverflow(
+                mix
+            )))
+        );
     }
 
     #[test]
