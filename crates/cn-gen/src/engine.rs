@@ -218,7 +218,7 @@ pub fn generate(models: &ModelSet, config: &GenConfig) -> Trace {
 /// [`generate_ue_with`] and the per-UE traces merged with [`Trace::merge`].
 ///
 /// Single-threaded, knob-free, and independent of the [`crate::UePool`]
-/// calendar queue that every production engine ([`generate`],
+/// radix heap that every production engine ([`generate`],
 /// [`ShardedStream`], [`crate::generate_out_of_core`]) merges through, so
 /// it can tell a merge bug from a generator bug. Tests and the golden gate
 /// compare against it; production callers want [`generate`].

@@ -23,8 +23,8 @@
 //! with each subsequent hour's model. Per-UE event times are strictly
 //! increasing; UE streams are merged into one sorted population trace.
 //!
-//! One engine merges those per-UE generators: the [`UePool`] calendar
-//! queue over packed integer keys. Three synthesis surfaces drive it and
+//! One engine merges those per-UE generators: the [`UePool`] radix heap
+//! over packed integer keys. Three synthesis surfaces drive it and
 //! produce byte-identical traces for the same [`GenConfig`]:
 //!
 //! * [`ShardedStream`] — the in-memory engine: disjoint UE shards on worker

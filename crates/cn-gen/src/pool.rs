@@ -11,19 +11,21 @@
 //! whatever the node encoding.
 //!
 //! [`UePool`] therefore splits the state into parallel arrays
-//! (struct-of-arrays) and replaces the tournament with a **calendar
-//! queue** bucketed by event time:
+//! (struct-of-arrays) and replaces the tournament with a **radix heap**
+//! over packed keys:
 //!
 //! * `recs: Vec<TraceRecord>` — one arena of generated-but-unemitted
 //!   records, a short block per UE slot, read exactly once per emission;
 //! * `iters: Vec<UeEventIter>` — the per-UE generator state, touched
 //!   only when the winning UE must be advanced;
-//! * [`CalendarQueue`] — packed `u64` keys (`t_rel_ms << 24 | slot`)
-//!   bucketed into coarse time slices sized for ~16 pending events each.
-//!   The bucket currently draining is a tiny binary min-heap (usually a
-//!   handful of keys, L1-resident), so emitting a record costs O(log
-//!   *bucket*) ≈ 4 compares on dense memory plus one push into a future
-//!   bucket — instead of ⌈log₂k⌉ dependent misses.
+//! * [`RadixHeap`] — one packed `u64` key (`t_rel_ms << 24 | slot`) per
+//!   live UE, filed under one of 65 buckets by the highest bit in which
+//!   it differs from the last minimum. Keys are unique and every insert
+//!   is at least the current minimum (a UE's next event follows the one
+//!   just emitted), which is all a radix heap needs. Emitting a record
+//!   costs a bit-scan, a pop and a push on dense memory, and each key is
+//!   moved to a lower bucket at most 64 times over its life — instead of
+//!   ⌈log₂k⌉ dependent misses per record.
 //!
 //! The key order embeds the record order exactly: per-UE timestamps
 //! strictly increase, every UE lives in exactly one slot, and slots are
@@ -47,9 +49,13 @@
 //!
 //! Per slot that is 10 B of indices (`iter_of`, `off`, `pos`, `fill`) plus
 //! 16 B per primed record, and 408 B more only for UEs with a generator —
-//! where every slot used to carry 280 + 128 + 2 B. On that 1M-UE run the
-//! process peak RSS falls from ~451 to ~96 MB, and priming
-//! (`gen.bootstrap_ms`) takes about half as long.
+//! where every slot used to carry 280 + 128 + 2 B. The queue adds an 8-B
+//! key per live UE: its buckets never hold more keys than there are live
+//! UEs and keep their buffers when drained, so its memory follows the
+//! population, never the window. (A queue bucketed by time slice needs a
+//! bucket per slice: ~900K per pool on a 1M-UE × 15 min run.) On that run
+//! the process peak RSS is ~57 MB, against ~96 MB with time-slice buckets
+//! and ~451 MB with a full block and generator per slot.
 //!
 //! The arena (and `iters`) are reserved for the worst case up front —
 //! every slot a full block — rather than grown. Pages that are never
@@ -75,191 +81,110 @@ const IDX_BITS: u32 = 24;
 /// chunked out-of-core path.
 const MAX_POOL: usize = 1 << IDX_BITS;
 const IDX_MASK: u64 = (1 << IDX_BITS) - 1;
-/// Bucket-count ceiling: past this the bucket width widens instead.
-const MAX_BUCKETS: u64 = 1 << 22;
-/// Events-per-UE-hour guess used only to size buckets (perf, not
-/// correctness: any bucket width yields the same output order).
-const EST_EVENTS_PER_UE_HOUR: u64 = 16;
-/// Target pending keys per bucket.
-const TARGET_PER_BUCKET: u64 = 16;
 
 /// A monotone priority queue over packed `(t_rel_ms << 24 | slot)` keys:
-/// coarse time buckets, each drained through a small binary min-heap.
+/// a radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990).
 ///
 /// Monotone means pops come out in ascending key order and every insert
-/// is `>=` the last popped key — exactly the discipline of a k-way merge
-/// of per-UE streams with strictly increasing timestamps. Inserts into
-/// the bucket currently draining go straight into its heap; later
-/// buckets are plain unsorted `Vec` pushes, heapified on first drain.
-struct CalendarQueue {
-    /// log₂ of the bucket width in ms.
-    shift: u32,
-    /// Future keys, bucketed by `t_rel >> shift` (index clamped to the
-    /// last bucket).
-    buckets: Vec<Vec<u64>>,
-    /// Min-heap over the keys of the bucket currently draining.
-    active: Vec<u64>,
-    /// Index of the draining bucket (`usize::MAX` before the first pop).
-    open: usize,
-    /// Total queued keys (active + all buckets).
+/// is `>=` the minimum [`Self::peek`] last returned — exactly the
+/// discipline of a k-way merge of per-UE streams with strictly
+/// increasing timestamps. `buckets[0]` holds the keys equal to `last`,
+/// the minimum last taken out of a drained bucket; `buckets[i]` holds the
+/// keys whose highest bit differing from `last` is bit `i − 1`. Every key
+/// in a bucket is smaller than every key in a higher one, so the minimum
+/// sits in the lowest non-empty bucket. Draining that bucket makes its
+/// minimum the new `last`, and its keys all share their bits above
+/// `i − 1` with it, so each moves to a strictly lower bucket: a key moves
+/// at most 64 times over its life, whatever the window or population.
+struct RadixHeap {
+    buckets: [Vec<u64>; 65],
+    /// Bit `i` set iff `buckets[i]` is non-empty.
+    nonempty: u128,
+    last: u64,
+    /// Total queued keys.
     len: usize,
 }
 
-impl CalendarQueue {
-    /// Queue for keys with `t_rel` in `[0, horizon_ms)`, sized so that
-    /// `est_events` spread over the horizon land ~[`TARGET_PER_BUCKET`]
-    /// keys per bucket.
-    fn new(horizon_ms: u64, est_events: u64) -> CalendarQueue {
-        let width = (horizon_ms / (est_events / TARGET_PER_BUCKET).max(1)).max(1);
-        let mut shift = width.ilog2();
-        while (horizon_ms >> shift) + 2 > MAX_BUCKETS {
-            shift += 1;
-        }
-        let nbuckets = ((horizon_ms >> shift) + 2) as usize;
-        CalendarQueue {
-            shift,
-            buckets: vec![Vec::new(); nbuckets],
-            active: Vec::new(),
-            open: usize::MAX,
+impl RadixHeap {
+    fn new() -> RadixHeap {
+        RadixHeap {
+            buckets: std::array::from_fn(|_| Vec::new()),
+            nonempty: 0,
+            last: 0,
             len: 0,
         }
     }
 
-    /// Which bucket a key belongs to.
+    /// File `key` (`>= last`) under its bucket.
     #[inline]
-    fn bucket_of(&self, key: u64) -> usize {
-        (((key >> IDX_BITS) >> self.shift) as usize).min(self.buckets.len() - 1)
+    fn push(&mut self, key: u64) {
+        debug_assert!(
+            key >= self.last,
+            "monotone insert below the current minimum"
+        );
+        let b = (u64::BITS - (key ^ self.last).leading_zeros()) as usize;
+        self.buckets[b].push(key);
+        self.nonempty |= 1 << b;
     }
 
     #[inline]
     fn insert(&mut self, key: u64) {
         self.len += 1;
-        let b = self.bucket_of(key);
-        // A monotone insert can only target the draining bucket or a
-        // later one; `open` is MAX before the first pop, so priming
-        // inserts always take the bucket branch.
-        if b == self.open {
-            heap_push(&mut self.active, key);
-        } else {
-            self.buckets[b].push(key);
-        }
+        self.push(key);
     }
 
-    /// Current minimum without removing it, opening the next non-empty
-    /// bucket if the draining one is exhausted.
+    /// Current minimum without removing it, draining the lowest non-empty
+    /// bucket into lower ones if `buckets[0]` is empty.
     #[inline]
     fn peek(&mut self) -> Option<u64> {
-        while self.active.is_empty() {
-            if self.len == 0 {
+        if self.nonempty & 1 == 0 {
+            if self.nonempty == 0 {
                 return None;
             }
-            let mut b = self.open.wrapping_add(1);
-            while self.buckets[b].is_empty() {
-                b += 1;
+            let b = self.nonempty.trailing_zeros() as usize;
+            self.nonempty &= !(1 << b);
+            // Keep the drained buffer: the bucket refills at this size.
+            let mut drained = std::mem::take(&mut self.buckets[b]);
+            self.last = drained.iter().copied().min().expect("non-empty bucket");
+            for &key in &drained {
+                self.push(key);
             }
-            self.active = std::mem::take(&mut self.buckets[b]);
-            make_heap(&mut self.active);
-            self.open = b;
+            drained.clear();
+            self.buckets[b] = drained;
         }
-        Some(self.active[0])
+        Some(self.last)
     }
 
     /// Replace the current minimum (which the caller has peeked and
-    /// consumed) with `key`, which must compare `>=` it. When `key` lands
-    /// in the draining bucket — the common case for short inter-event
-    /// gaps — this is a single root sift instead of a pop-sift plus a
-    /// push-sift. Equivalent to `pop` then `insert`.
+    /// consumed) with `key`, which must compare `>=` it: the minimum is
+    /// taken out and `key` inserted.
     #[inline]
     fn replace_top(&mut self, key: u64) {
-        debug_assert!(!self.active.is_empty(), "replace_top follows peek");
-        let b = self.bucket_of(key);
-        if b == self.open {
-            self.active[0] = key;
-            sift_down(&mut self.active, 0);
-        } else {
-            self.buckets[b].push(key);
-            heap_pop(&mut self.active);
-        }
+        self.take_top();
+        self.push(key);
     }
 
     /// Drop the current minimum (peeked, consumed, and its UE exhausted).
     #[inline]
     fn pop_discard(&mut self) {
-        debug_assert!(!self.active.is_empty(), "pop_discard follows peek");
-        heap_pop(&mut self.active);
+        self.take_top();
         self.len -= 1;
     }
 
-    /// Full pop (open-next-bucket included). The production drain goes
-    /// through [`Self::peek`] + [`Self::replace_top`] / [`Self::pop_discard`];
-    /// this is the reference discipline the queue's ordering test drains
-    /// through.
+    #[inline]
+    fn take_top(&mut self) {
+        debug_assert!(self.nonempty & 1 != 0, "the top is taken after a peek");
+        let top = &mut self.buckets[0];
+        top.pop();
+        if top.is_empty() {
+            self.nonempty &= !1;
+        }
+    }
+
+    /// Keys the buckets can hold without reallocating.
     #[cfg(test)]
-    fn pop(&mut self) -> Option<u64> {
-        loop {
-            if let Some(k) = heap_pop(&mut self.active) {
-                self.len -= 1;
-                return Some(k);
-            }
-            if self.len == 0 {
-                return None;
-            }
-            // Open the next non-empty bucket. `len > 0` with an empty
-            // active heap guarantees one exists past `open`.
-            let mut b = self.open.wrapping_add(1);
-            while self.buckets[b].is_empty() {
-                b += 1;
-            }
-            self.active = std::mem::take(&mut self.buckets[b]);
-            make_heap(&mut self.active);
-            self.open = b;
-        }
-    }
-}
-
-#[inline]
-fn heap_push(h: &mut Vec<u64>, key: u64) {
-    h.push(key);
-    let mut i = h.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if h[parent] <= h[i] {
-            break;
-        }
-        h.swap(parent, i);
-        i = parent;
-    }
-}
-
-#[inline]
-fn heap_pop(h: &mut Vec<u64>) -> Option<u64> {
-    let last = h.len().checked_sub(1)?;
-    h.swap(0, last);
-    let top = h.pop();
-    sift_down(h, 0);
-    top
-}
-
-fn make_heap(h: &mut [u64]) {
-    for i in (0..h.len() / 2).rev() {
-        sift_down(h, i);
-    }
-}
-
-#[inline]
-fn sift_down(h: &mut [u64], mut i: usize) {
-    loop {
-        let l = 2 * i + 1;
-        if l >= h.len() {
-            return;
-        }
-        let r = l + 1;
-        let c = if r < h.len() && h[r] < h[l] { r } else { l };
-        if h[i] <= h[c] {
-            return;
-        }
-        h.swap(i, c);
-        i = c;
+    fn capacity(&self) -> usize {
+        self.buckets.iter().map(Vec::capacity).sum()
     }
 }
 
@@ -282,7 +207,7 @@ const NO_GEN: u32 = u32::MAX;
 /// time (`< horizon`) must fit the 40 time bits of a packed key.
 pub(crate) const MAX_HORIZON_MS: u64 = (1 << (64 - IDX_BITS)) - 1;
 
-/// A population of per-UE generators merged through the calendar-queue
+/// A population of per-UE generators merged through the radix-heap
 /// struct-of-arrays hot path (see module docs).
 pub struct UePool<'m> {
     /// Generators of the UEs whose priming filled the lookahead — the
@@ -300,7 +225,7 @@ pub struct UePool<'m> {
     pos: Vec<u8>,
     /// Valid records in the block, per slot.
     fill: Vec<u8>,
-    queue: CalendarQueue,
+    queue: RadixHeap,
     /// `config.start` in ms — keys carry start-relative times.
     base_ms: u64,
 }
@@ -323,7 +248,7 @@ impl<'m> UePool<'m> {
     ) -> UePool<'m> {
         let end = config.end();
         let base_ms = config.start.as_millis();
-        let horizon_ms = end.as_millis().saturating_sub(base_ms).max(1);
+        let horizon_ms = end.as_millis().saturating_sub(base_ms);
         assert!(
             horizon_ms <= MAX_HORIZON_MS,
             "a UePool spans at most {MAX_HORIZON_MS} ms; got a {horizon_ms} ms window"
@@ -334,7 +259,7 @@ impl<'m> UePool<'m> {
         let mut off = Vec::with_capacity(cap);
         let mut pos = Vec::with_capacity(cap);
         let mut fill = Vec::with_capacity(cap);
-        let mut primed: Vec<u64> = Vec::with_capacity(cap);
+        let mut queue = RadixHeap::new();
         // Worst case up front, never grown (see "Memory" above).
         let mut iters = Vec::with_capacity(cap);
         let mut recs = Vec::with_capacity(cap * LOOKAHEAD);
@@ -365,7 +290,7 @@ impl<'m> UePool<'m> {
             recs.extend(it.by_ref().take(LOOKAHEAD));
             let k = recs.len() - start;
             if k > 0 {
-                primed.push(pack_key(recs[start].t.as_millis() - base_ms, slot));
+                queue.insert(pack_key(recs[start].t.as_millis() - base_ms, slot));
             }
             if k == LOOKAHEAD {
                 iter_of.push(iters.len() as u32);
@@ -378,13 +303,6 @@ impl<'m> UePool<'m> {
             off.push(start as u32);
             pos.push(0u8);
             fill.push(k as u8);
-        }
-        let est = (iter_of.len() as u64)
-            .saturating_mul(horizon_ms.div_ceil(3_600_000))
-            .saturating_mul(EST_EVENTS_PER_UE_HOUR);
-        let mut queue = CalendarQueue::new(horizon_ms, est.max(1));
-        for key in primed {
-            queue.insert(key);
         }
         UePool {
             iters,
@@ -466,6 +384,9 @@ mod tests {
     use cn_fit::{fit, FitConfig, Method};
     use cn_trace::{PopulationMix, Timestamp};
     use cn_world::{generate_world, WorldConfig};
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn fitted() -> ModelSet {
         let trace = generate_world(&WorldConfig::new(PopulationMix::new(30, 14, 8), 2.0, 5));
@@ -612,51 +533,144 @@ mod tests {
         UePool::new(&models, &config, [1u32, 0].into_iter());
     }
 
-    /// The calendar queue is a plain monotone priority queue under the
-    /// hood; hammer it with a synthetic merge-shaped workload (every
-    /// insert >= the last pop) across bucket geometries.
     #[test]
-    fn calendar_queue_pops_in_sorted_order() {
-        // Deterministic pseudo-random keys via splitmix-style mixing.
-        let mut x = 0x9E37_79B9u64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for (horizon, est) in [(1_000, 10), (100_000, 1_000), (3_600_000, 10)] {
-            let mut q = CalendarQueue::new(horizon, est);
-            let mut keys: Vec<u64> = (0..500u64)
-                .map(|i| pack_key(next() % horizon, (i % 64) as usize))
-                .collect();
-            for &k in &keys {
-                q.insert(k);
-            }
-            // Pop half, interleaving monotone re-inserts.
-            let mut out = Vec::new();
-            for _ in 0..250 {
-                let k = q.pop().unwrap();
-                let t_rel = k >> IDX_BITS;
-                if t_rel + 10 < horizon {
-                    let nk = pack_key(t_rel + 1 + next() % 9, (next() % 64) as usize);
-                    q.insert(nk);
-                    keys.push(nk);
-                }
-                out.push(k);
-            }
-            while let Some(k) = q.pop() {
-                out.push(k);
-            }
-            assert_eq!(q.len, 0);
-            keys.sort_unstable();
-            // `out` is `keys` minus the 250 popped-and-not-reinserted…
-            // actually every key inserted is eventually popped exactly
-            // once, so the multisets match.
-            let mut sorted_out = out.clone();
-            sorted_out.sort_unstable();
-            assert_eq!(sorted_out, keys, "horizon {horizon} est {est}");
-            assert!(out.windows(2).all(|w| w[0] <= w[1]), "pop order not sorted");
+    fn queue_memory_follows_live_ues_not_the_window() {
+        // A handful of UEs over the longest window a pool accepts: the
+        // queue's buckets must hold about as many keys as there are UEs,
+        // not one slot per time slice of the window.
+        let models = fitted();
+        let config = GenConfig::new(
+            PopulationMix::new(3, 2, 1),
+            Timestamp::at_hour(0, 0),
+            305_419.0,
+            8,
+        );
+        let total = config.population.total();
+        let mut pool = UePool::new(&models, &config, 0..total);
+        assert_eq!(pool.live(), total as usize);
+        for _ in 0..200 {
+            pool.next_record().expect("long-lived UEs keep emitting");
         }
+        assert!(pool.live() > 0);
+        let capacity = pool.queue.capacity();
+        assert!(capacity <= 64 * total as usize, "{capacity} key slots");
+    }
+
+    /// One step of the queue oracle test. Deltas are added to the last
+    /// key `peek` returned, which keeps every insert monotone.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(u64),
+        Peek,
+        ReplaceTop(u64),
+        PopDiscard,
+        /// Insert `floor + delta + 2^i` for every bit `i`: one key per
+        /// bucket level, drained back down through every lower one.
+        Ladder(u64),
+    }
+
+    fn delta() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            0u64..16,
+            (1u64 << IDX_BITS)..(1 << (IDX_BITS + 1)),
+            0u64..(1 << 40),
+            any::<u64>(),
+        ]
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            delta().prop_map(Op::Insert),
+            Just(Op::Peek),
+            delta().prop_map(Op::ReplaceTop),
+            Just(Op::PopDiscard),
+            delta().prop_map(Op::Ladder),
+        ]
+    }
+
+    /// Run `ops` against both the radix heap and a `BinaryHeap` oracle,
+    /// then drain both; every peek, and the length after every step,
+    /// must agree.
+    fn matches_oracle(ops: &[Op]) -> Result<(), TestCaseError> {
+        let mut q = RadixHeap::new();
+        let mut oracle = BinaryHeap::new();
+        let mut floor = 0u64;
+        for op in ops {
+            match *op {
+                Op::Insert(d) => {
+                    q.insert(floor.saturating_add(d));
+                    oracle.push(Reverse(floor.saturating_add(d)));
+                }
+                Op::Ladder(d) => {
+                    for bit in 0..u64::BITS {
+                        let key = floor.saturating_add(d).saturating_add(1 << bit);
+                        q.insert(key);
+                        oracle.push(Reverse(key));
+                    }
+                }
+                Op::Peek | Op::ReplaceTop(_) | Op::PopDiscard => {
+                    let top = q.peek();
+                    prop_assert_eq!(top, oracle.peek().map(|r| r.0));
+                    let Some(top) = top else { continue };
+                    floor = top;
+                    match *op {
+                        Op::ReplaceTop(d) => {
+                            q.replace_top(top.saturating_add(d));
+                            oracle.pop();
+                            oracle.push(Reverse(top.saturating_add(d)));
+                        }
+                        Op::PopDiscard => {
+                            q.pop_discard();
+                            oracle.pop();
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            prop_assert_eq!(q.len, oracle.len());
+        }
+        while let Some(Reverse(want)) = oracle.pop() {
+            prop_assert_eq!(q.peek(), Some(want));
+            q.pop_discard();
+        }
+        prop_assert_eq!(q.peek(), None);
+        prop_assert_eq!(q.len, 0);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn radix_heap_pops_like_a_binary_heap(ops in prop::collection::vec(op(), 0..200)) {
+            matches_oracle(&ops)?;
+        }
+    }
+
+    #[test]
+    fn radix_heap_edge_keys() {
+        for keys in [
+            vec![0, 0, 0],
+            vec![u64::MAX, 1 << 63, (1 << 63) | 1, u64::MAX],
+            vec![1 << IDX_BITS, (1 << IDX_BITS) - 1, 1 << IDX_BITS],
+            // Every key in the top bucket at first: draining it files one
+            // key per lower level, and each later pop drains the next.
+            (0..63)
+                .map(|bit| (1 << 63) + (1 << bit))
+                .chain([1 << 63, u64::MAX])
+                .collect(),
+        ] {
+            let ops: Vec<Op> = keys.iter().map(|&k| Op::Insert(k)).collect();
+            matches_oracle(&ops).unwrap();
+        }
+        matches_oracle(&[
+            Op::Insert(5),
+            Op::Peek,
+            Op::Ladder(0),
+            Op::ReplaceTop(0),
+            Op::Ladder(u64::MAX),
+        ])
+        .unwrap();
     }
 }

@@ -15,7 +15,7 @@
 //! A single shard *is* the sequential merge, so `S == 1` (an explicit
 //! `with_shards(.., 1)`, a one-UE population, or [`ShardedStream::new`] on
 //! a single-core box — [`crate::effective_parallelism`] decides) drains one
-//! [`UePool`] calendar queue **inline on the caller's thread**: no worker
+//! [`UePool`] **inline on the caller's thread**: no worker
 //! threads, no channels, no model clone. The sharded API is therefore
 //! never slower than a bare pool drain; threads and channels are only paid
 //! for when there is parallelism to buy with them.

@@ -803,6 +803,10 @@ pub struct DesSim {
     latencies_us: LatencyRecorder,
     input_done: bool,
     obs: DesObs,
+    /// Test switch: run every idle tick one by one, the reference the
+    /// fast-forward is checked against.
+    #[cfg(test)]
+    tick_by_tick: bool,
 }
 
 impl DesSim {
@@ -847,6 +851,8 @@ impl DesSim {
             latencies_us: LatencyRecorder::new(),
             input_done: false,
             obs: DesObs::default(),
+            #[cfg(test)]
+            tick_by_tick: false,
         })
     }
 
@@ -1074,6 +1080,10 @@ impl DesSim {
             if entry.t_us > to_us {
                 break;
             }
+            if self.idle() {
+                self.skip_idle_ticks(to_us);
+                break;
+            }
             self.calendar.pop();
             self.end_us = self.end_us.max(entry.t_us);
             match entry.action() {
@@ -1081,6 +1091,66 @@ impl DesSim {
                 Action::ServerOnline { nf } => self.server_online(nf as usize, entry.t_us),
                 Action::ScaleTick { nf } => self.scale_tick(nf as usize, entry.t_us),
             }
+        }
+    }
+
+    /// Whether more input may come while no job is in flight and no
+    /// server is provisioning. Then the calendar holds only the autoscale
+    /// ticks, and a tick can do nothing but scale its pool down.
+    fn idle(&self) -> bool {
+        #[cfg(test)]
+        if self.tick_by_tick {
+            return false;
+        }
+        !self.input_done && self.outstanding == 0 && self.nfs.iter().all(|s| s.provisioning == 0)
+    }
+
+    /// Run every tick at or before `to_us` of an [idle](Self::idle)
+    /// simulator in time proportional to its scale-downs, not its ticks.
+    ///
+    /// Idle ticks of different pools touch disjoint state, and an idle
+    /// tick that leaves its pool unchanged leaves every later one
+    /// unchanged too. So each pool's ticks run for real up to its first
+    /// no-op, then jump to the last tick at or before `to_us`, exactly as
+    /// far as the tick-by-tick loop would have gone. The rescheduled ticks
+    /// are pushed in the order that loop would push them: by the time of
+    /// the tick pushing each, ties in pool order. (Every control loop is
+    /// armed at the first arrival, so two ticks pushed at one instant
+    /// fall due together only if their periods match, and equal-period
+    /// loops have run in pool order since they were armed.) `seq` only
+    /// breaks ties between equal times, so skipping pushes changes no
+    /// drain order.
+    fn skip_idle_ticks(&mut self, to_us: u64) {
+        // Per autoscaled pool (at most five, one tick each): the time of
+        // the last tick run, the pool, and its successor's time.
+        let mut next = [(0u64, 0usize, 0u64); 5];
+        let mut n = 0;
+        while let Some(Reverse(entry)) = self.calendar.peek().copied() {
+            if entry.t_us > to_us {
+                break;
+            }
+            self.calendar.pop();
+            let Action::ScaleTick { nf } = entry.action() else {
+                unreachable!("an idle calendar holds only ticks");
+            };
+            let pool = nf as usize;
+            let policy = self.nfs[pool]
+                .cfg
+                .autoscale
+                .expect("only autoscaled pools tick");
+            let every_us = policy.eval_every_ms * 1_000;
+            let last_us = to_us - (to_us - entry.t_us) % every_us;
+            let mut t_us = entry.t_us;
+            while self.autoscale(pool, policy, t_us) && t_us < last_us {
+                t_us += every_us;
+            }
+            self.end_us = self.end_us.max(last_us);
+            next[n] = (last_us, pool, last_us + every_us);
+            n += 1;
+        }
+        next[..n].sort_unstable();
+        for &(_, pool, t_us) in &next[..n] {
+            self.push(t_us, Action::ScaleTick { nf: pool as u8 });
         }
     }
 
@@ -1173,10 +1243,23 @@ impl DesSim {
     }
 
     fn scale_tick(&mut self, pool: usize, now_us: u64) {
-        let state = &mut self.nfs[pool];
-        let Some(policy) = state.cfg.autoscale else {
+        let Some(policy) = self.nfs[pool].cfg.autoscale else {
             return;
         };
+        self.autoscale(pool, policy, now_us);
+        // Keep the control loop alive only while work can still arrive.
+        if !self.input_done || self.outstanding > 0 {
+            self.push(
+                now_us + policy.eval_every_ms * 1_000,
+                Action::ScaleTick { nf: pool as u8 },
+            );
+        }
+    }
+
+    /// One control-loop decision of `pool` at `now_us`: order a server,
+    /// retire one, or neither (`false`).
+    fn autoscale(&mut self, pool: usize, policy: AutoscalePolicy, now_us: u64) -> bool {
+        let state = &mut self.nfs[pool];
         let nf_idx = nf_index(state.cfg.nf);
         let effective = state.servers + state.provisioning;
         let depth = state.queue.len() as f64;
@@ -1187,24 +1270,20 @@ impl DesSim {
                 now_us + policy.provision_ms * 1_000,
                 Action::ServerOnline { nf: pool as u8 },
             );
+            true
         } else if depth < policy.low_depth_per_server * state.servers as f64
             && state.servers > policy.min_servers
             && state.busy < state.servers
             && state.provisioning == 0
         {
-            let state = &mut self.nfs[pool];
             state.settle_capacity(now_us);
             state.servers -= 1;
             state.scale_downs += 1;
             self.obs.nf_scale_down[nf_idx].inc();
             self.obs.nf_servers[nf_idx].set(state.servers as u64);
-        }
-        // Keep the control loop alive only while work can still arrive.
-        if !self.input_done || self.outstanding > 0 {
-            self.push(
-                now_us + self.nfs[pool].cfg.autoscale.expect("checked").eval_every_ms * 1_000,
-                Action::ScaleTick { nf: pool as u8 },
-            );
+            true
+        } else {
+            false
         }
     }
 }
@@ -1514,6 +1593,92 @@ mod tests {
         let report = sim.finish();
         assert!(report.per_nf[0].scale_downs > 0);
         assert_eq!(report.per_nf[0].final_servers, 1);
+    }
+
+    #[test]
+    fn a_far_future_arrival_skips_the_idle_ticks_between() {
+        // 2^61 µs is ~2.3 × 10^12 one-second MME ticks; the simulator
+        // must cover it in a handful of calendar pushes.
+        let mut sim = DesSim::new(DesConfig::default_epc(4)).unwrap();
+        sim.offer(&rec(0, 0, EventType::Attach)).unwrap();
+        let far_ms = (1u64 << 61) / 1_000;
+        sim.offer(&rec(far_ms, 1, EventType::Attach)).unwrap();
+        assert!(sim.seq < 64, "{} calendar pushes", sim.seq);
+        // The last tick run is the last whole second before the arrival.
+        assert_eq!(sim.end_us, far_ms * 1_000 / 1_000_000 * 1_000_000);
+        assert_eq!(sim.finish().completed, 2);
+    }
+
+    /// Every pool autoscaled with deterministic services, so stage
+    /// completions, server arrivals and ticks of different pools
+    /// (equal and unequal periods) fall on the same microseconds and the
+    /// calendar's tie order shows in the report.
+    fn many_loops_config() -> DesConfig {
+        let mut cfg = DesConfig::default_epc(3);
+        for (nf, eval_every_ms) in cfg.nfs.iter_mut().zip([1_000, 400, 1_000, 250, 400]) {
+            nf.servers = 3;
+            nf.service = deterministic_service(20_000.0);
+            nf.autoscale = Some(AutoscalePolicy {
+                min_servers: 1,
+                max_servers: 6,
+                high_depth_per_server: 2.0,
+                low_depth_per_server: 1.0,
+                eval_every_ms,
+                provision_ms: 300,
+            });
+        }
+        cfg
+    }
+
+    /// Offer `bursts` of `(gap_ms, size)`: `size` same-instant arrivals
+    /// `gap_ms` after the previous burst, with or without the idle
+    /// fast-forward. Return the report, the telemetry, and the calendar's
+    /// drain order after every offer.
+    fn run_bursts(
+        bursts: &[(u64, usize)],
+        tick_by_tick: bool,
+    ) -> (DesReport, cn_obs::ObsSnapshot, Vec<Vec<(u64, Action)>>) {
+        let registry = Registry::new();
+        let mut sim = DesSim::new(many_loops_config())
+            .unwrap()
+            .observed(&registry);
+        sim.tick_by_tick = tick_by_tick;
+        let mut calendars = Vec::new();
+        let (mut t_ms, mut ue) = (0, 0);
+        for &(gap_ms, size) in bursts {
+            t_ms += gap_ms;
+            for _ in 0..size {
+                sim.offer(&rec(t_ms, ue, EventType::ALL[ue as usize % 6]))
+                    .unwrap();
+                ue += 1;
+                let mut pending: Vec<_> = sim.calendar.iter().map(|r| r.0).collect();
+                pending.sort_unstable();
+                calendars.push(pending.iter().map(|e| (e.t_us, e.action())).collect());
+            }
+        }
+        (sim.finish(), registry.snapshot(), calendars)
+    }
+
+    #[test]
+    fn idle_fast_forward_changes_no_report() {
+        let bursts = [
+            (0, 30),
+            (1, 5),
+            (2_000, 40),
+            (250, 1),
+            (40_000, 25),
+            (0, 3),
+            (7_777, 60),
+            (400, 12),
+            (10_000_000, 30),
+        ];
+        let fast = run_bursts(&bursts, false);
+        assert!(fast
+            .0
+            .per_nf
+            .iter()
+            .any(|nf| nf.scale_ups > 0 && nf.scale_downs > 0));
+        assert_eq!(fast, run_bursts(&bursts, true));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every generation surface — [`generate`], the [`ShardedStream`] at any
 //! shard count, and the out-of-core exporter — must produce the trace of
 //! the per-UE reference ([`generate_reference`]: each UE alone, merged by
-//! `Trace::merge`, no calendar-queue pool, no threads). This module turns
+//! `Trace::merge`, no `UePool`, no threads). This module turns
 //! that guarantee into two executable checks:
 //!
 //! * **consistency** — hash the canonical binary serialization

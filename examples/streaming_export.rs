@@ -3,7 +3,7 @@
 //!
 //! A week of a large population is hundreds of millions of events — too
 //! big to materialize. `ShardedStream` partitions the population into
-//! per-core UE shards, runs each shard's calendar-queue merge on its own
+//! per-core UE shards, runs each shard's `UePool` merge on its own
 //! worker thread, and hands the consumer a globally time-ordered stream
 //! (byte-identical at any shard count, and to `generate`) through bounded
 //! block channels — so a slow disk writer
